@@ -2,10 +2,11 @@
 price of anarchy against closed-form worst-case bounds, per-instance bound
 certificates, and randomized worst-case instance search.
 
-Everything here is exhaustive and deterministic. Enumeration exploits the
+Everything here is exact and deterministic. Enumeration exploits the
 compromise structure: a blind or isolated agent's best-response set does not
 depend on the rest of the profile, so its candidates are computed once and
-only the remaining agents are enumerated.
+only the remaining agents are enumerated. Welfare optima come from a dynamic
+program over agents that returns what a scan of every profile would.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .game import (
     SizeCapError,
     TabulatedWelfare,
     Utility,
-    _table_map,
     base_set,
     designed_utility,
     effective_utility,
-    empty_profile,
     joint_space_size,
     validate_joint_action,
     welfare_eval,
@@ -156,7 +155,7 @@ class _Engine:
         if self.separable:
             self.curves = [tuple(c) for c in game.welfare.curves]
         else:
-            self.table = _table_map(game.welfare)
+            self.table = game.welfare.table
 
     def _lookup(self, key) -> float:
         try:
@@ -168,8 +167,8 @@ class _Engine:
 
     def alone_utilities(self, i: int):
         """Effective utilities of a blind/isolated agent, one per action."""
-        zero = [0] * self.m
-        return [self.candidate_utility(i, res, zero) for res in self.act_res[i]]
+        alone = [0] * self.m if self.separable else frozenset()
+        return [self.candidate_utility(i, res, alone) for res in self.act_res[i]]
 
     def candidate_utility(self, i: int, res, base_counts) -> float:
         """Utility of agent i playing the resources ``res`` on top of the
@@ -322,27 +321,159 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
 
 
 def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
-    """Exhaustive welfare maximum over the full (uncompromised) action space.
+    """Exact welfare maximum over the full (uncompromised) action space.
 
     The optimum is the design-time benchmark in the anarchy ratio, so the
     compromise labels are ignored here; equilibrium-side operations still
-    force disabled agents to opt out. Lexicographically first maximizer on
-    ties.
+    force disabled agents to opt out. The search runs a dynamic program over
+    agents in index order (see :func:`_best_profile`) instead of visiting
+    every profile, yet returns what a full scan would: the largest welfare
+    as the profile evaluation computes it in floating point, and the
+    lexicographically first profile reaching it (agent index, then action
+    index), even where two sums differ in the last bit only. Games whose
+    joint action space exceeds ``cap`` are refused with SizeCapError, as in
+    :func:`enumerate_pne`.
     """
     size = joint_space_size(game)
     if size > cap:
         raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
     eng = _Engine(game)
+    best, idxs = _best_profile(eng, [range(len(acts)) for acts in eng.actions])
+    return best, eng.profile_from_indices(idxs)
+
+
+def _best_profile(eng: _Engine, choices):
+    """(value, indices) of the lexicographically first profile maximizing
+    ``eng.welfare_of_indices`` when agent i plays one of the action indices
+    ``choices[i]`` (in increasing order) — bit for bit what a scan of every
+    profile keeping the first strictly better one returns."""
+    if eng.separable:
+        return _best_separable(eng, choices)
+    return _best_tabulated(eng, choices)
+
+
+def _best_tabulated(eng: _Engine, choices):
+    # Over (agent, base set so far). Table values are taken, never added,
+    # so the maxima are exact and the first child reaching its parent's
+    # value lies on the first maximizer. Each layer lists its base sets in
+    # the order of the first prefix reaching them, so the first missing
+    # entry raised is the one a scan would meet first.
+    layers = [{EMPTY_ACTION: None}]
+    for i, cand in enumerate(choices):
+        acts = eng.actions[i]
+        layers.append(dict.fromkeys(base | acts[j] for base in layers[-1] for j in cand))
+    value = {base: eng._lookup(base) for base in layers[-1]}
+    values = [value]
+    for i in reversed(range(eng.n)):
+        acts = eng.actions[i]
+        value = {
+            base: max(value[base | acts[j]] for j in choices[i]) for base in layers[i]
+        }
+        values.append(value)
+    values.reverse()
+    base = EMPTY_ACTION
+    idxs = []
+    for i, cand in enumerate(choices):
+        for j in cand:
+            child = base | eng.actions[i][j]
+            if values[i + 1][child] == values[i][base]:
+                break
+        idxs.append(j)
+        base = child
+    return values[0][EMPTY_ACTION], tuple(idxs)
+
+
+def _flat_from(curve) -> int:
+    """The first count from which a curve keeps the same float value."""
+    t = len(curve) - 1
+    while t > 0 and curve[t - 1] == curve[t]:
+        t -= 1
+    return t
+
+
+def _best_separable(eng: _Engine, choices):
+    # A resource is settled once the last agent able to select it has
+    # moved; its value is then folded in. Counts are clipped where a curve
+    # turns float-constant, which changes no welfare value.
+    n, m = eng.n, eng.m
+    curves, act_res = eng.curves, eng.act_res
+    flat = [_flat_from(c) for c in curves]
+    last = {}
+    for i, cand in enumerate(choices):
+        for j in cand:
+            for r in act_res[i][j]:
+                last[r] = i
+    settles = [[] for _ in range(n)]
+    for r in sorted(last):
+        settles[last[r]].append(r)
+
+    # moves[i][state]: (action, settled value, next state) per choice of
+    # agent i, for every reachable state (clipped counts, settled ones 0)
+    zero = (0,) * m
+    moves = []
+    states = {zero: None}
+    for i, cand in enumerate(choices):
+        layer = {}
+        for state in states:
+            row = []
+            for j in cand:
+                counts = list(state)
+                for r in act_res[i][j]:
+                    if counts[r] < flat[r]:
+                        counts[r] += 1
+                gain = 0.0
+                for r in settles[i]:
+                    gain += curves[r][counts[r]]
+                    counts[r] = 0
+                row.append((j, gain, tuple(counts)))
+            layer[state] = row
+        moves.append(layer)
+        states = dict.fromkeys(nxt for row in layer.values() for _, _, nxt in row)
+
+    # bound[i][state]: the most welfare agents i.. can still settle
+    bound = [{zero: 0.0}]
+    for layer in reversed(moves):
+        after = bound[-1]
+        bound.append(
+            {s: max(g + after[nxt] for _, g, nxt in row) for s, row in layer.items()}
+        )
+    bound.reverse()
+
+    # Depth-first in lexicographic order, evaluating leaves exactly as the
+    # scan does. A child is cut when even its best completion falls short
+    # of the optimum by more than rounding can explain, or when an earlier
+    # node at its depth had the same clipped counts: every completion of
+    # that node gives the same float welfare on a smaller profile.
+    top = bound[0][zero]
+    floor = top - 1e-9 * (1.0 + abs(top))
     best = -math.inf
     best_idxs = None
-    ranges = [range(len(acts)) for acts in eng.actions]
-    welfare_of = eng.welfare_of_indices
-    for idxs in itertools.product(*ranges):
-        w = welfare_of(idxs)
-        if w > best:
-            best = w
-            best_idxs = idxs
-    return best, eng.profile_from_indices(best_idxs)
+    seen = set()
+    stack = [(0, zero, 0.0, zero, ())]
+    while stack:
+        depth, state, folded, full, idxs = stack.pop()
+        key = (depth, full)
+        if key in seen:
+            continue
+        seen.add(key)
+        if depth == n:
+            w = eng.welfare_of_indices(idxs)
+            if w > best:
+                best = w
+                best_idxs = idxs
+            continue
+        after = bound[depth + 1]
+        children = []
+        for j, gain, nxt in moves[depth][state]:
+            if folded + gain + after[nxt] < floor:
+                continue
+            counts = list(full)
+            for r in act_res[depth][j]:
+                if counts[r] < flat[r]:
+                    counts[r] += 1
+            children.append((depth + 1, nxt, folded + gain, tuple(counts), idxs + (j,)))
+        stack.extend(reversed(children))
+    return best, best_idxs
 
 
 def theoretical_poa(
@@ -474,7 +605,7 @@ def subgame(game: GameInstance, fixed: Mapping) -> GameInstance:
             value = sum(curves[r][counts[r]] for r in range(len(curves)))
         else:
             key = base_set(committed) | subset
-            entry = _table_map(game.welfare).get(key)
+            entry = game.welfare.table.get(key)
             if entry is None:
                 raise ModelIncompleteError(
                     f"no welfare table entry for base set {sorted(key)}"
@@ -671,18 +802,22 @@ def check_bound_chain_mc(
     solo_opt = sum(w(_solo(n, i, a_opt[i])) for i in comp)
     solo_ne = sum(w(_solo(n, i, a_ne[i])) for i in comp)
 
-    # exhaustive residual optimum over the normal agents' joint actions
-    best_residual = 0.0
+    # residual optimum: the normal agents' best joint action on top of the
+    # blind agents' equilibrium actions
     size = 1
     for i in normals:
         size *= len(game.action_sets[i])
     if size > cap:
         raise SizeCapError(f"{size} residual joint actions exceed the cap of {cap}")
-    for combo in itertools.product(*(game.action_sets[i] for i in normals)):
-        prof = list(empty_profile(game))
-        for i, act in zip(normals, combo):
-            prof[i] = act
-        best_residual = max(best_residual, residual(tuple(prof)))
+    eng = _Engine(game)
+    choices = [
+        range(len(acts))
+        if i in normals
+        else [acts.index(a_ne[i]) if i in blind else 0]  # 0: the empty action
+        for i, acts in enumerate(game.action_sets)
+    ]
+    best_joined, _ = _best_profile(eng, choices)
+    best_residual = max(0.0, best_joined - w_ne_blind)
 
     joined = w(_union(a_opt, ne_blind))
     values = [

@@ -16,9 +16,8 @@ here is a pure function of its inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 TOLERANCE = 1e-9
@@ -123,6 +122,10 @@ class TabulatedWelfare:
 
     entries: tuple  # ((frozenset, value), ...) sorted by (len, sorted ids)
     num_resources: int
+    table: dict = field(init=False, repr=False, compare=False)  # base set -> value
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", dict(self.entries))
 
     @staticmethod
     def from_mapping(table: Mapping, num_resources: int) -> "TabulatedWelfare":
@@ -137,11 +140,6 @@ class TabulatedWelfare:
 
 
 WelfareSpec = Union[SeparableWelfare, TabulatedWelfare]
-
-
-@lru_cache(maxsize=None)
-def _table_map(welfare: TabulatedWelfare) -> dict:
-    return dict(welfare.entries)
 
 
 def _canonical_action_set(actions: Iterable, num_resources: int) -> tuple:
@@ -210,7 +208,7 @@ class GameInstance:
                     raise ValidationError(
                         f"table value for {sorted(subset)} is negative"
                     )
-            empty = _table_map(w).get(EMPTY_ACTION, 0.0)
+            empty = w.table.get(EMPTY_ACTION, 0.0)
             if empty != 0.0:
                 raise ValidationError("welfare is not normalized: W(empty) != 0")
         else:
@@ -330,9 +328,8 @@ def welfare_eval(game: GameInstance, a: JointAction) -> float:
             total += curves[r][counts[r]]
         return total
     key = base_set(a)
-    table = _table_map(w)
     try:
-        return table[key]
+        return w.table[key]
     except KeyError:
         raise ModelIncompleteError(
             f"no welfare table entry for base set {sorted(key)}"
@@ -508,7 +505,7 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
             curves = game.welfare.curves
             return sum(curves[r][counts[r]] for r in range(len(curves)))
         key = counts_or_set | extra
-        table = _table_map(game.welfare)
+        table = game.welfare.table
         if key not in table:
             raise ModelIncompleteError(
                 f"no welfare table entry for base set {sorted(key)}"

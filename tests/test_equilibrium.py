@@ -1,8 +1,15 @@
 """Best responses, exhaustive equilibrium enumeration, anarchy ratios,
 closed-form bounds and bound-chain certificates."""
 
+import gc
+import itertools
+import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility, UtilityClass
@@ -22,8 +29,73 @@ def direct_scan_pne(game):
     return [a for a in playable_profiles(game) if al.is_pne(game, a)]
 
 
+def direct_scan_opt(game):
+    """Independent oracle: every profile in lexicographic order, keeping the
+    first one whose welfare is strictly greater."""
+    best, best_profile = -math.inf, None
+    for a in al.all_profiles(game):
+        w = al.welfare_eval(game, a)
+        if w > best:
+            best, best_profile = w, a
+    return best, best_profile
+
+
 def hub(n, k, eps, delta, labels=None):
     return al.gen_k_blind(n, k, eps, delta, labels)
+
+
+def label_mixes(k):
+    B, I = Compromise.BLIND, Compromise.ISOLATED
+    return [[B] * k, [I] * k, [B if i % 2 == 0 else I for i in range(k)]]
+
+
+def coverage_game(seed, n, labels=()):
+    """Weighted-coverage welfare tabulated over every resource subset, with
+    marginal-contribution utilities; ``labels`` go to the first agents."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 4)
+    cover = [frozenset(rng.sample(range(5), rng.randint(1, 3))) for _ in range(m)]
+    weights = [round(rng.uniform(0.01, 1.0), 2) for _ in range(5)]
+    table = {}
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            covered = frozenset().union(*(cover[r] for r in subset))
+            table[frozenset(subset)] = sum(weights[e] for e in sorted(covered))
+    action_sets = tuple(
+        tuple(
+            frozenset(rng.sample(range(m), rng.choice((1, 1, 2))))
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(n)
+    )
+    return al.GameInstance(
+        welfare=al.TabulatedWelfare.from_mapping(table, m),
+        action_sets=action_sets,
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=tuple(labels) + (Compromise.NORMAL,) * (n - len(labels)),
+    )
+
+
+@st.composite
+def small_separable_games(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    # a coarse value grid makes exact and one-ulp ties between sums common
+    grid = st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 1.0))
+    curves = []
+    for _ in range(m):
+        curve = [0.0]
+        for inc in sorted(draw(st.lists(grid, min_size=n, max_size=n)), reverse=True):
+            curve.append(curve[-1] + inc)
+        curves.append(tuple(curve))
+    subsets = st.frozensets(st.integers(0, m - 1), max_size=m)
+    action_sets = tuple(draw(st.lists(subsets, min_size=1, max_size=3)) for _ in range(n))
+    return al.GameInstance(
+        welfare=al.SeparableWelfare(curves=tuple(curves)),
+        action_sets=action_sets,
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=(Compromise.NORMAL,) * n,
+    )
 
 
 class TestBestResponse:
@@ -122,6 +194,14 @@ class TestEnumerate:
         eqs = al.enumerate_pne(g)
         assert eqs.profiles == ((frozenset({0}),),)
 
+    def test_matches_direct_scan_on_compromised_coverage_games(self):
+        B, I = Compromise.BLIND, Compromise.ISOLATED
+        for seed in range(30):
+            labels = [(B,), (I,), (B, I), (I, B, B)][seed % 4]
+            game = coverage_game(seed, len(labels) + 1 + seed % 2, labels)
+            eqs = al.enumerate_pne(game)
+            assert list(eqs.profiles) == direct_scan_pne(game), seed
+
     def test_size_cap(self):
         with pytest.raises(al.SizeCapError):
             al.enumerate_pne(hub(8, 2, 0.01, 0.01), cap=100)
@@ -145,6 +225,7 @@ class TestOptimalWelfare:
         )
         w, _ = al.optimal_welfare(g)
         assert w == 0.0
+        assert al.optimal_welfare(g) == direct_scan_opt(g)
 
     def test_invariant_under_agent_permutation(self):
         for seed in range(8):
@@ -171,6 +252,103 @@ class TestOptimalWelfare:
         w, prof = al.optimal_welfare(g)
         assert w == pytest.approx(6.0, abs=1e-12)
         assert prof[0] == frozenset({0})
+        assert (w, prof) == direct_scan_opt(g)
+
+    def test_matches_direct_scan_on_families(self):
+        scans = {}  # the scan ignores labels: one per welfare and action sets
+        games = []
+        for n in range(2, 11):
+            for k in range(n):
+                for labels in label_mixes(k):
+                    games.append(hub(n, k, 0.01, 0.02, labels))
+                    games.append(al.gen_mc_blind(n, k, 0.03, labels))
+        games += [al.gen_mc_noblind(n, k, 0.01) for n in range(3, 9) for k in range(1, n - 1)]
+        games += [al.gen_sim_game(n, n - 1, 0.05) for n in range(2, 9)]
+        games += [
+            al.gen_fig1([1.0, 0.7, 0.3, 0.4, 2.0, 0.8], labels=[Compromise.BLIND] * 3),
+            al.gen_fig1([0.5, 0.5, 0.5, 0.5, 0.5, 2.0]),
+        ]
+        for game in games:
+            shape = (game.welfare, game.action_sets)
+            if shape not in scans:
+                scans[shape] = direct_scan_opt(game)
+            assert al.optimal_welfare(game) == scans[shape]
+
+    def test_matches_direct_scan_on_random_games(self):
+        for seed in range(300):
+            k = seed % 3
+            game = al.gen_random_separable(
+                n=2 + seed % 4,
+                max_resources=2 + seed % 3,
+                max_actions=2 + seed % 3,
+                k=k,
+                labels=label_mixes(k)[seed % 3],
+                seed=seed,
+            )
+            assert al.optimal_welfare(game) == direct_scan_opt(game), seed
+
+    def test_matches_direct_scan_on_coverage_games(self):
+        for seed in range(60):
+            game = coverage_game(seed, 2 + seed % 3, [Compromise.BLIND] * (seed % 2))
+            assert al.optimal_welfare(game) == direct_scan_opt(game), seed
+
+    def test_missing_table_entry_is_the_one_a_scan_meets_first(self):
+        table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0}
+        g = al.GameInstance(
+            welfare=al.TabulatedWelfare.from_mapping(table, 2),
+            action_sets=((frozenset({0}), frozenset({1})),) * 2,
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(Compromise.NORMAL,) * 2,
+        )
+        with pytest.raises(al.ModelIncompleteError) as scan:
+            direct_scan_opt(g)
+        with pytest.raises(al.ModelIncompleteError) as search:
+            al.optimal_welfare(g)
+        assert str(search.value) == str(scan.value)
+
+    def test_one_ulp_near_tie_follows_the_scan(self):
+        # 0.1 + 0.2 is one ulp above 0.3, so the scan keeps the later action
+        g = al.GameInstance(
+            welfare=al.SeparableWelfare(
+                curves=((0.0, 0.3), (0.0, 0.1), (0.0, 0.2))
+            ),
+            action_sets=((frozenset({0}), frozenset({1, 2})),),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,),
+            compromise=(Compromise.NORMAL,),
+        )
+        assert direct_scan_opt(g) == (0.30000000000000004, (frozenset({1, 2}),))
+        assert al.optimal_welfare(g) == direct_scan_opt(g)
+
+    @given(small_separable_games())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_scan_property(self, game):
+        assert al.optimal_welfare(game) == direct_scan_opt(game)
+
+    def test_scales_past_the_reach_of_a_scan(self):
+        n, k, eps, delta = 40, 20, 0.01, 0.005
+        game = hub(n, k, eps, delta)
+        start = time.perf_counter()
+        w, prof = al.optimal_welfare(game, cap=al.joint_space_size(game))
+        elapsed = time.perf_counter() - start
+        closed = 1 + (n - k - 1) * (1 / n - delta) + k * (1 - eps)
+        assert abs(w - closed) <= 1e-9
+        assert al.welfare_eval(game, prof) == w
+        assert elapsed < 1.0
+
+    def test_leaves_no_cyclic_garbage(self):
+        games = [
+            al.gen_mc_blind(6, 3, 0.01, label_mixes(3)[2]),
+            coverage_game(5, 4, [Compromise.BLIND, Compromise.ISOLATED]),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for game in games:
+                al.optimal_welfare(game)
+                al.enumerate_pne(game)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTheoreticalPoa:

@@ -1,5 +1,7 @@
 """Welfare, utilities, observation structure and the compromise transform."""
 
+import gc
+import weakref
 
 import pytest
 
@@ -71,6 +73,22 @@ class TestWelfareEval:
         )
         with pytest.raises(al.ModelIncompleteError):
             al.welfare_eval(g, (frozenset({1}),))
+
+    def test_dropped_table_is_collected(self):
+        w = al.TabulatedWelfare.from_mapping({frozenset(): 0.0, frozenset({0}): 1.0}, 1)
+        g = al.GameInstance(
+            welfare=w,
+            action_sets=((frozenset({0}),),),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,),
+            compromise=(Compromise.NORMAL,),
+        )
+        assert al.welfare_eval(g, (frozenset({0}),)) == 1.0
+        twin = al.TabulatedWelfare.from_mapping({frozenset({0}): 1.0, frozenset(): 0.0}, 1)
+        assert w == twin and hash(w) == hash(twin) and "table" not in repr(w)
+        ref = weakref.ref(w)
+        del w, g
+        gc.collect()
+        assert ref() is None
 
 
 class TestMarginalContribution:

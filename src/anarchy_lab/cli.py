@@ -10,6 +10,7 @@ outputs are byte-stable. Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -25,7 +26,6 @@ from .game import (
     UnsupportedUtilityError,
     ValidationError,
     Utility,
-    check_submodular,
     check_vug,
 )
 
@@ -145,8 +145,8 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     game = _read_instance(args.instance)
-    sub = check_submodular(game, cap=args.cap)
     vug = check_vug(game, cap=args.cap)
+    sub = vug.welfare
     print(f"agents: {game.n}  resources: {game.num_resources}")
     print(f"welfare submodular/nondecreasing/normalized: {_cell(sub.ok)}")
     print(f"utilities dominate marginal contributions:   {_cell(vug.utility_dominates_marginal)}")
@@ -157,7 +157,7 @@ def cmd_check(args) -> int:
         print(f"violation [{failure.kind}]: {failure.message}")
         if failure.witness:
             print(f"witness: {json.dumps(failure.witness, sort_keys=True)}")
-    return EXIT_OK if (sub.ok and vug.ok) else EXIT_VALIDATION
+    return EXIT_OK if vug.ok else EXIT_VALIDATION
 
 
 def cmd_pne(args) -> int:
@@ -233,30 +233,6 @@ def _label_mixes(family: str, k: int, forced):
     return mixes
 
 
-def _gen_for_bounds(family: str, n: int, k: int, labels, eps: float, delta: float):
-    # the families take blind/isolated labels; other mixes (e.g. disabled)
-    # are applied by relabeling afterwards
-    gen_labels = labels if all(
-        l in (Compromise.BLIND, Compromise.ISOLATED) for l in labels
-    ) else None
-    if family == "k_blind":
-        game = inst.gen_k_blind(n, k, eps, delta, gen_labels or None)
-    elif family == "mc_blind":
-        game = inst.gen_mc_blind(n, k, eps, gen_labels or None)
-    elif family == "mc_noblind":
-        game = inst.gen_mc_noblind(n, k, eps)
-    elif family == "sim":
-        game = inst.gen_sim_game(n, k, eps, gen_labels or None)
-    else:
-        raise ValueError(f"family {family!r} has no bounds sweep")
-    if labels and gen_labels is None:
-        import dataclasses
-
-        compromise = list(labels) + [Compromise.NORMAL] * (n - k)
-        game = dataclasses.replace(game, compromise=tuple(compromise))
-    return game
-
-
 def _chains_ok(game: GameInstance, report: eq.PoAReport) -> Optional[bool]:
     if report.ratio is None or game.agents_with(Compromise.DISABLED):
         return None
@@ -290,7 +266,21 @@ def cmd_bounds(args) -> int:
     any_violation = False
     for k in ks:
         for labels in _label_mixes(args.family, k, forced):
-            game = _gen_for_bounds(args.family, args.n, k, labels, args.eps, args.delta)
+            # the families take blind/isolated labels; other mixes (e.g.
+            # disabled) are applied by relabeling afterwards
+            plain = all(l in (Compromise.BLIND, Compromise.ISOLATED) for l in labels)
+            params = inst.FamilyParams(
+                family=args.family,
+                n=args.n,
+                k=k,
+                labels=labels if plain else (),
+                eps=args.eps,
+                delta=args.delta,
+            )
+            game = inst.gen_family(params)
+            if not plain:
+                compromise = tuple(labels) + (Compromise.NORMAL,) * (args.n - k)
+                game = dataclasses.replace(game, compromise=compromise)
             report = eq.instance_poa(game, cap=args.cap)
             chains = _chains_ok(game, report)
             mix = ",".join(l.value for l in labels) if labels else "-"

@@ -6,7 +6,11 @@ Everything here is exact and deterministic. Enumeration exploits the
 compromise structure: a blind or isolated agent's best-response set does not
 depend on the rest of the profile, so its candidates are computed once and
 only the remaining agents are enumerated. Welfare optima come from a dynamic
-program over agents that returns what a scan of every profile would.
+program over agents that returns what a scan of every profile would. The
+fast paths evaluate welfare, observed contexts and candidate utilities
+through the game's evaluation kernel (``game._Engine``); the profile-level
+``best_response_set`` and ``is_pne`` evaluate the model's definitions
+directly and are the reference the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ from .game import (
     Compromise,
     GameInstance,
     JointAction,
-    ModelIncompleteError,
     SeparableWelfare,
     SizeCapError,
     TabulatedWelfare,
     Utility,
-    base_set,
+    _Engine,
     designed_utility,
     effective_utility,
     joint_space_size,
+    observation_structure,
     validate_joint_action,
     welfare_eval,
 )
@@ -128,101 +132,6 @@ class BoundChainCertificate:
     extrapolated: bool  # evaluated outside the range the chain was derived for
 
 
-# ---------------------------------------------------------------------------
-# fast per-game evaluation tables
-
-
-class _Engine:
-    """Precomputed tables driving the enumeration inner loops."""
-
-    def __init__(self, game: GameInstance):
-        self.game = game
-        self.n = game.n
-        self.m = game.num_resources
-        self.separable = game.separable
-        self.actions = [list(acts) for acts in game.action_sets]
-        self.act_res = [
-            [tuple(sorted(a)) for a in acts] for acts in game.action_sets
-        ]
-        self.is_mc = [u is Utility.MARGINAL_CONTRIBUTION for u in game.utilities]
-        lab = game.compromise
-        self.visible = [c in (Compromise.NORMAL, Compromise.BLIND) for c in lab]
-        self.normal = [i for i, c in enumerate(lab) if c is Compromise.NORMAL]
-        self.free_compromised = [
-            i for i, c in enumerate(lab) if c in (Compromise.BLIND, Compromise.ISOLATED)
-        ]
-        self.disabled = [i for i, c in enumerate(lab) if c is Compromise.DISABLED]
-        if self.separable:
-            self.curves = [tuple(c) for c in game.welfare.curves]
-        else:
-            self.table = game.welfare.table
-
-    def _lookup(self, key) -> float:
-        try:
-            return self.table[key]
-        except KeyError:
-            raise ModelIncompleteError(
-                f"no welfare table entry for base set {sorted(key)}"
-            ) from None
-
-    def alone_utilities(self, i: int):
-        """Effective utilities of a blind/isolated agent, one per action."""
-        alone = [0] * self.m if self.separable else frozenset()
-        return [self.candidate_utility(i, res, alone) for res in self.act_res[i]]
-
-    def candidate_utility(self, i: int, res, base_counts) -> float:
-        """Utility of agent i playing the resources ``res`` on top of the
-        visible context ``base_counts`` (which must exclude agent i)."""
-        if self.separable:
-            curves = self.curves
-            u = 0.0
-            if self.is_mc[i]:
-                for r in res:
-                    c = base_counts[r]
-                    cv = curves[r]
-                    u += cv[c + 1] - cv[c]
-            else:
-                for r in res:
-                    c = base_counts[r] + 1
-                    u += curves[r][c] / c
-            return u
-        # tabulated welfare: base_counts is a frozenset here
-        key = base_counts | frozenset(res)
-        return self._lookup(key) - self._lookup(base_counts)
-
-    def visible_context(self, idxs, skip: int):
-        """Counts (or base set) of all visible agents except ``skip``."""
-        if self.separable:
-            counts = [0] * self.m
-            for j, aj in enumerate(idxs):
-                if j != skip and self.visible[j]:
-                    for r in self.act_res[j][aj]:
-                        counts[r] += 1
-            return counts
-        out = set()
-        for j, aj in enumerate(idxs):
-            if j != skip and self.visible[j]:
-                out |= self.actions[j][aj]
-        return frozenset(out)
-
-    def welfare_of_indices(self, idxs) -> float:
-        if self.separable:
-            counts = [0] * self.m
-            for j, aj in enumerate(idxs):
-                for r in self.act_res[j][aj]:
-                    counts[r] += 1
-            curves = self.curves
-            total = 0.0
-            for r in range(self.m):
-                total += curves[r][counts[r]]
-            return total
-        key = frozenset().union(*(self.actions[j][aj] for j, aj in enumerate(idxs)))
-        return self._lookup(key)
-
-    def profile_from_indices(self, idxs) -> JointAction:
-        return tuple(self.actions[j][aj] for j, aj in enumerate(idxs))
-
-
 def _argmax_indices(values, tol: float = TOLERANCE):
     best = max(values)
     return [j for j, v in enumerate(values) if v >= best - tol]
@@ -266,57 +175,37 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     size = joint_space_size(game)
     if size > cap:
         raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
-    eng = _Engine(game)
+    eng = game._engine
 
     candidates = []
-    for i in range(eng.n):
-        lab = game.compromise[i]
+    for i, lab in enumerate(game.compromise):
         if lab is Compromise.DISABLED:
             candidates.append([0])  # canonical order puts the empty action first
         elif lab is Compromise.NORMAL:
-            candidates.append(list(range(len(eng.actions[i]))))
+            candidates.append(range(len(eng.actions[i])))
         else:
-            candidates.append(_argmax_indices(eng.alone_utilities(i)))
+            # a blind or isolated agent's observed context is always empty
+            candidates.append(_argmax_indices(eng.utilities(i, eng.empty)))
 
     profiles = []
     welfares = []
-    normal = eng.normal
-    act_res = eng.act_res
-    separable = eng.separable
-    for idxs in itertools.product(*candidates):
-        ok = True
-        if separable:
-            counts = eng.visible_context(idxs, skip=-1)
-            for i in normal:
-                cur = idxs[i]
-                for r in act_res[i][cur]:
-                    counts[r] -= 1
-                u_cur = 0.0
-                best = -math.inf
-                for j, res in enumerate(act_res[i]):
-                    u = eng.candidate_utility(i, res, counts)
-                    if u > best:
-                        best = u
-                    if j == cur:
-                        u_cur = u
-                for r in act_res[i][cur]:
-                    counts[r] += 1
-                if u_cur < best - TOLERANCE:
-                    ok = False
-                    break
+    normal = game.agents_with(Compromise.NORMAL)
+    visible = [j for j in range(eng.n) if eng.visible[j]]
+    profiles_of = itertools.product(*(
+        [acts[j] for j in cand] for acts, cand in zip(eng.actions, candidates)
+    ))
+    for idxs, a in zip(itertools.product(*candidates), profiles_of):
+        vis = eng.context(a, visible) if eng.separable else None
+        for i in normal:
+            if vis is None:
+                utilities = eng.utilities(i, eng.context(a, eng.sees[i]))
+            else:
+                utilities = eng.utilities(i, vis, a[i])
+            if utilities[idxs[i]] < max(utilities) - TOLERANCE:
+                break
         else:
-            for i in normal:
-                ctx = eng.visible_context(idxs, skip=i)
-                cur = idxs[i]
-                utilities = [
-                    eng.candidate_utility(i, res, ctx) for res in act_res[i]
-                ]
-                if utilities[cur] < max(utilities) - TOLERANCE:
-                    ok = False
-                    break
-        if ok:
-            profiles.append(eng.profile_from_indices(idxs))
-            welfares.append(eng.welfare_of_indices(idxs))
+            profiles.append(a)
+            welfares.append(eng.value(eng.context(a)))
     return EquilibriumSet(profiles=tuple(profiles), welfares=tuple(welfares))
 
 
@@ -337,14 +226,14 @@ def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
     size = joint_space_size(game)
     if size > cap:
         raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
-    eng = _Engine(game)
+    eng = game._engine
     best, idxs = _best_profile(eng, [range(len(acts)) for acts in eng.actions])
-    return best, eng.profile_from_indices(idxs)
+    return best, eng.profile(idxs)
 
 
 def _best_profile(eng: _Engine, choices):
     """(value, indices) of the lexicographically first profile maximizing
-    ``eng.welfare_of_indices`` when agent i plays one of the action indices
+    the welfare of ``eng.profile(indices)`` when agent i plays one of the action indices
     ``choices[i]`` (in increasing order) — bit for bit what a scan of every
     profile keeping the first strictly better one returns."""
     if eng.separable:
@@ -362,7 +251,7 @@ def _best_tabulated(eng: _Engine, choices):
     for i, cand in enumerate(choices):
         acts = eng.actions[i]
         layers.append(dict.fromkeys(base | acts[j] for base in layers[-1] for j in cand))
-    value = {base: eng._lookup(base) for base in layers[-1]}
+    value = {base: eng.value(base) for base in layers[-1]}
     values = [value]
     for i in reversed(range(eng.n)):
         acts = eng.actions[i]
@@ -457,7 +346,7 @@ def _best_separable(eng: _Engine, choices):
             continue
         seen.add(key)
         if depth == n:
-            w = eng.welfare_of_indices(idxs)
+            w = eng.value(eng.context(eng.profile(idxs)))
             if w > best:
                 best = w
                 best_idxs = idxs
@@ -582,36 +471,18 @@ def subgame(game: GameInstance, fixed: Mapping) -> GameInstance:
     committed = tuple(
         frozenset(fixed[i]) if i in blind else EMPTY_ACTION for i in range(game.n)
     )
-    base_welfare = welfare_eval(game, committed)
+    eng = game._engine
+    base = eng.context(committed)
+    base_welfare = eng.value(base)
 
-    keep = [i for i in range(game.n) if game.compromise[i] is Compromise.NORMAL]
-    reachable = set()
-    for combo in itertools.product(*(game.action_sets[i] for i in keep)):
-        reachable.add(frozenset().union(*combo) if combo else frozenset())
-    reachable.add(EMPTY_ACTION)
-
-    table = {}
-    for subset in reachable:
-        # one phantom selection per resource in the subset, on top of the
-        # committed blind profile (count-aware for separable parents)
-        if game.separable:
-            counts = [0] * game.num_resources
-            for act in committed:
-                for r in act:
-                    counts[r] += 1
-            for r in subset:
-                counts[r] += 1
-            curves = game.welfare.curves
-            value = sum(curves[r][counts[r]] for r in range(len(curves)))
-        else:
-            key = base_set(committed) | subset
-            entry = game.welfare.table.get(key)
-            if entry is None:
-                raise ModelIncompleteError(
-                    f"no welfare table entry for base set {sorted(key)}"
-                )
-            value = entry
-        table[subset] = value - base_welfare
+    keep = game.agents_with(Compromise.NORMAL)
+    # one phantom selection per resource of each base set the remaining
+    # agents can reach, on top of the committed blind profile (count-aware
+    # for separable parents)
+    table = {
+        subset: eng.value(eng.join(base, subset)) - base_welfare
+        for subset in eng.reachable(keep, base_sets=True)
+    }
 
     return GameInstance(
         welfare=TabulatedWelfare.from_mapping(table, game.num_resources),
@@ -672,7 +543,7 @@ def check_bound_chain_general(
     comp = set(game.compromised)
     k = len(comp)
     normals = [i for i in range(n) if i not in comp]
-    hidden = set(game.agents_with(Compromise.ISOLATED, Compromise.DISABLED))
+    observed = observation_structure(game)
     w = lambda p: welfare_eval(game, p)
 
     w_opt = w(a_opt)
@@ -685,12 +556,6 @@ def check_bound_chain_general(
         upto = _union(a_ne, _only(a_opt, range(i + 1)))
         before = _union(a_ne, _only(a_opt, range(i)))
         telescope += w(upto) - w(before)
-
-    # observation sets: normal agents see everyone but the isolated (blind
-    # agents stay visible); compromised agents see nobody
-    observed = {
-        i: (set() if i in comp else set(range(n)) - hidden - {i}) for i in range(n)
-    }
 
     # the same marginals, each taken in its observer's reduced context
     reduced = 0.0
@@ -809,7 +674,7 @@ def check_bound_chain_mc(
         size *= len(game.action_sets[i])
     if size > cap:
         raise SizeCapError(f"{size} residual joint actions exceed the cap of {cap}")
-    eng = _Engine(game)
+    eng = game._engine
     choices = [
         range(len(acts))
         if i in normals

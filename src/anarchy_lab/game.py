@@ -11,13 +11,25 @@ agent's *effective* utility can see.
 All values are finite nonnegative floats compared with the global tolerance
 ``TOLERANCE``; games are immutable after construction and every operation
 here is a pure function of its inputs.
+
+Each game builds one private evaluation kernel (``_Engine``) on first
+use. It is the single place that turns a profile into a *context*
+(selection counts, or the base set for tabulated welfare), a context into a
+welfare value, and a context into an agent's candidate utilities; the fast
+paths in ``equilibrium`` and ``learning`` all evaluate through it. The
+profile-level functions here (``marginal_contribution``, ``equal_share``,
+``designed_utility``, ``effective_utility``) keep their definitions from
+the model and serve as the independent reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 TOLERANCE = 1e-9
@@ -204,6 +216,10 @@ class GameInstance:
                         raise ValidationError(
                             f"table subset references unknown resource id {r}"
                         )
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"table value for {sorted(subset)} is not finite"
+                    )
                 if value < 0:
                     raise ValidationError(
                         f"table value for {sorted(subset)} is negative"
@@ -218,6 +234,11 @@ class GameInstance:
                 raise UnsupportedUtilityError(
                     f"agent {i}: equal-share utility needs separable welfare"
                 )
+
+    @cached_property
+    def _engine(self) -> _Engine:
+        """The evaluation kernel, built on first use (not a field)."""
+        return _Engine(self)
 
     @property
     def n(self) -> int:
@@ -245,6 +266,8 @@ def _validate_curve(curve: Sequence, r: int, n: int) -> None:
             f"resource {r}: curve must list values for counts 0..{n} "
             f"(got {len(curve)} entries)"
         )
+    if not all(map(math.isfinite, curve)):
+        raise ValidationError(f"resource {r}: curve values must be finite")
     if curve[0] != 0.0:
         raise ValidationError(f"resource {r}: curve must start at 0 (normalized)")
     for c in range(len(curve)):
@@ -319,21 +342,8 @@ def welfare_eval(game: GameInstance, a: JointAction) -> float:
     tabulated welfare looks up the base set (duplicate selections collapse).
     Raises ModelIncompleteError when a tabulated base set has no entry.
     """
-    w = game.welfare
-    if isinstance(w, SeparableWelfare):
-        curves = w.curves
-        counts = selection_counts(game, a)
-        total = 0.0
-        for r in range(len(curves)):
-            total += curves[r][counts[r]]
-        return total
-    key = base_set(a)
-    try:
-        return w.table[key]
-    except KeyError:
-        raise ModelIncompleteError(
-            f"no welfare table entry for base set {sorted(key)}"
-        ) from None
+    eng = game._engine
+    return eng.value(eng.context(a))
 
 
 def _replace(a: JointAction, i: int, act: Action) -> JointAction:
@@ -404,6 +414,131 @@ def effective_utility(game: GameInstance, i: int, a: JointAction) -> float:
 
 
 # ---------------------------------------------------------------------------
+# evaluation kernel
+
+
+class _Engine:
+    """Per-game evaluation tables and the one implementation of the model's
+    central object: an agent's utility on the actions it observes.
+
+    A *context* is what the welfare depends on: per-resource selection
+    counts for separable welfare, the base set for tabulated welfare. The
+    kernel holds no reference to its game, so a dropped game is freed by
+    reference counting alone.
+    """
+
+    def __init__(self, game: GameInstance):
+        self.n = game.n
+        self.m = game.num_resources
+        self.actions = game.action_sets
+        # resource ids of each action in increasing order: utilities add up
+        # per-resource terms in this order
+        self.act_res = [
+            [tuple(sorted(a)) for a in acts] for acts in game.action_sets
+        ]
+        self.is_mc = [u is Utility.MARGINAL_CONTRIBUTION for u in game.utilities]
+        # agents whose actions others can observe
+        self.visible = [
+            c in (Compromise.NORMAL, Compromise.BLIND) for c in game.compromise
+        ]
+        # sees[i]: the agents i observes; empty for blind, isolated, disabled
+        self.sees = [tuple(sorted(observed_set(game, i))) for i in range(game.n)]
+        self.separable = game.separable
+        if self.separable:
+            self.curves = game.welfare.curves
+            self.empty = (0,) * self.m  # the empty context
+        else:
+            self.table = game.welfare.table
+            self.empty = EMPTY_ACTION
+
+    def context(self, a, agents=None):
+        """The context formed by the entries ``a[j]`` for j in ``agents``
+        (default: every entry). Agent i's observed context is
+        ``context(a, sees[i])``, the empty context if i sees nobody."""
+        acts = a if agents is None else [a[j] for j in agents]
+        if not self.separable:
+            return base_set(acts)
+        counts = [0] * self.m
+        for act in acts:
+            for r in act:
+                counts[r] += 1
+        return counts
+
+    def join(self, ctx, act: Action):
+        """The context ``ctx`` with one more selection of each resource in
+        ``act``; hashable (a count tuple or a base set)."""
+        if not self.separable:
+            return ctx | act
+        counts = list(ctx)
+        for r in act:
+            counts[r] += 1
+        return tuple(counts)
+
+    def reachable(self, agents, base_sets: bool = False) -> list:
+        """Every distinct context the actions of ``agents`` can form, in the
+        order first reached; as base sets whatever the welfare form if
+        ``base_sets``."""
+        empty, join = (EMPTY_ACTION, frozenset.union) if base_sets else (self.empty, self.join)
+        layer = {empty: None}
+        for j in agents:
+            layer = dict.fromkeys(
+                join(ctx, act) for ctx in layer for act in self.actions[j]
+            )
+        return list(layer)
+
+    def value(self, ctx) -> float:
+        """The welfare of a context: the sum of each curve at its count, or
+        the table entry of the base set (ModelIncompleteError if missing)."""
+        if self.separable:
+            curves = self.curves
+            total = 0.0
+            for r in range(self.m):
+                total += curves[r][ctx[r]]
+            return total
+        try:
+            return self.table[ctx]
+        except KeyError:
+            raise ModelIncompleteError(
+                f"no welfare table entry for base set {sorted(ctx)}"
+            ) from None
+
+    def utilities(self, i: int, ctx, own: Action = EMPTY_ACTION) -> list:
+        """Agent i's designed utility for each of its actions, played on top
+        of the context ``ctx``, which must exclude agent i. Separable
+        contexts may still hold one selection of each resource in ``own``
+        (agent i's current action), which is then taken off for the call;
+        cheaper than building the context afresh."""
+        if not self.separable:
+            base = self.value(ctx)
+            return [self.value(ctx | act) - base for act in self.actions[i]]
+        for r in own:
+            ctx[r] -= 1
+        curves = self.curves
+        out = []
+        if self.is_mc[i]:
+            for res in self.act_res[i]:
+                u = 0.0
+                for r in res:
+                    c = ctx[r]
+                    u += curves[r][c + 1] - curves[r][c]
+                out.append(u)
+        else:
+            for res in self.act_res[i]:
+                u = 0.0
+                for r in res:
+                    c = ctx[r] + 1
+                    u += curves[r][c] / c
+                out.append(u)
+        for r in own:
+            ctx[r] += 1
+        return out
+
+    def profile(self, idxs) -> JointAction:
+        """The profile with agent j playing its action number ``idxs[j]``."""
+        return tuple([acts[aj] for acts, aj in zip(self.actions, idxs)])
+
+
+# ---------------------------------------------------------------------------
 # validators
 
 
@@ -443,33 +578,6 @@ def _require_cap(game: GameInstance, cap: int) -> None:
         )
 
 
-def _distinct_count_contexts(game: GameInstance, skip: Optional[int]):
-    """Deduplicated per-resource count vectors over all agents != skip."""
-    m = game.num_resources
-    seen = {}
-    agents = [j for j in range(game.n) if j != skip]
-    for combo in itertools.product(*(game.action_sets[j] for j in agents)):
-        counts = [0] * m
-        for act in combo:
-            for r in act:
-                counts[r] += 1
-        seen.setdefault(tuple(counts), combo)
-    return seen  # count tuple -> one representative profile of the others
-
-
-def _distinct_base_contexts(game: GameInstance, skip: Optional[int]):
-    seen = {}
-    agents = [j for j in range(game.n) if j != skip]
-    for combo in itertools.product(*(game.action_sets[j] for j in agents)):
-        key = frozenset().union(*combo) if combo else frozenset()
-        seen.setdefault(key, combo)
-    return seen
-
-
-def _dominates(big, small) -> bool:
-    return all(b >= s for b, s in zip(big, small))
-
-
 def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> SubmodularityReport:
     """Exhaustively verify that the welfare is submodular, nondecreasing and
     normalized over the admissible profile space.
@@ -492,44 +600,30 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
             pairs_checked=0,
         )
 
+    eng = game._engine
     separable = game.separable
     contexts_checked = 0
     pairs_checked = 0
 
-    def value_of(counts_or_set, extra: Action) -> float:
-        # welfare of a context plus one added action (count/multiset aware)
-        if separable:
-            counts = list(counts_or_set)
-            for r in extra:
-                counts[r] += 1
-            curves = game.welfare.curves
-            return sum(curves[r][counts[r]] for r in range(len(curves)))
-        key = counts_or_set | extra
-        table = game.welfare.table
-        if key not in table:
-            raise ModelIncompleteError(
-                f"no welfare table entry for base set {sorted(key)}"
-            )
-        return table[key]
-
     def compare(small_key, big_key) -> bool:
         if separable:
-            return _dominates(big_key, small_key)
+            return all(b >= s for b, s in zip(big_key, small_key))
         return small_key <= big_key
 
+    def ordered(keys) -> list:
+        return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+
     # monotonicity over deduplicated full profiles
-    full = _distinct_count_contexts(game, None) if separable else _distinct_base_contexts(game, None)
-    keys = sorted(full, key=lambda k: (sum(k) if separable else len(k), sorted(k) if not separable else k))
+    keys = ordered(eng.reachable(range(game.n)))
     if len(keys) ** 2 > 4_000_000:
         raise SizeCapError(
             f"{len(keys)} distinct selections give too many comparable pairs"
         )
     try:
-        values = {k: value_of(k, EMPTY_ACTION) for k in keys}
+        values = {k: eng.value(k) for k in keys}
         contexts_checked += len(keys)
-        for a_idx in range(len(keys)):
-            for b_idx in range(len(keys)):
-                ks, kb = keys[a_idx], keys[b_idx]
+        for ks in keys:
+            for kb in keys:
                 if ks == kb or not compare(ks, kb):
                     continue
                 pairs_checked += 1
@@ -552,23 +646,15 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
 
         # decreasing marginal returns, per agent and action
         for i in range(game.n):
-            ctxs = (
-                _distinct_count_contexts(game, i)
-                if separable
-                else _distinct_base_contexts(game, i)
-            )
-            ckeys = sorted(
-                ctxs, key=lambda k: (sum(k) if separable else len(k), sorted(k) if not separable else k)
-            )
+            ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
             contexts_checked += len(ckeys)
-            base_vals = {k: value_of(k, EMPTY_ACTION) for k in ckeys}
+            base_vals = {k: eng.value(k) for k in ckeys}
             for act in game.action_sets[i]:
                 if not act:
                     continue
-                margins = {k: value_of(k, act) - base_vals[k] for k in ckeys}
-                for ks_i in range(len(ckeys)):
-                    for kb_i in range(len(ckeys)):
-                        ks, kb = ckeys[ks_i], ckeys[kb_i]
+                margins = {k: eng.value(eng.join(k, act)) - base_vals[k] for k in ckeys}
+                for ks in ckeys:
+                    for kb in ckeys:
                         if ks == kb or not compare(ks, kb):
                             continue
                         pairs_checked += 1

@@ -384,6 +384,16 @@ def _expect(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _numbers(values, where: str) -> tuple:
+    """The floats of a list of JSON numbers (booleans are not numbers)."""
+    if not isinstance(values, list) or not {int, float}.issuperset(map(type, values)):
+        raise ParseError(f"{where}: need a list of numbers")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ParseError(f"{where}: a value is out of range") from None
+
+
 def parse(document: str) -> GameInstance:
     """Parse and validate an instance document.
 
@@ -393,39 +403,53 @@ def parse(document: str) -> GameInstance:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     n = _expect(doc, "n", "document")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("field 'n' must be a positive integer")
     resources = _expect(doc, "resources", "document")
     if not isinstance(resources, list) or not resources:
         raise ParseError("field 'resources' must be a nonempty list")
+    if not all(isinstance(entry, dict) for entry in resources):
+        raise ParseError("every resource entry must be an object")
     ids = [entry.get("id") for entry in resources]
     if ids != list(range(len(resources))):
         raise ParseError("resource ids must be contiguous from 0")
 
     if "table" in doc:
+        if not isinstance(doc["table"], list):
+            raise ParseError("field 'table' must be a list")
         table = {}
         for idx, entry in enumerate(doc["table"]):
+            if not isinstance(entry, dict):
+                raise ParseError(f"table entry {idx}: must be an object")
             subset = entry.get("subset")
             value = entry.get("value")
-            if not isinstance(subset, list) or not isinstance(value, (int, float)):
-                raise ParseError(f"table entry {idx}: need 'subset' list and numeric 'value'")
+            # JSON integers and floats only: a boolean's type is bool
+            if not (
+                isinstance(subset, list)
+                and {int}.issuperset(map(type, subset))
+                and type(value) in (int, float)
+            ):
+                raise ParseError(
+                    f"table entry {idx}: need a 'subset' list of resource ids "
+                    "and a numeric 'value'"
+                )
             key = frozenset(subset)
             if key in table:
                 raise ParseError(f"table entry {idx}: duplicate subset {sorted(key)}")
-            table[key] = float(value)
-        welfare = TabulatedWelfare.from_mapping(table, len(resources))
+            table[key] = value
+        try:
+            welfare = TabulatedWelfare.from_mapping(table, len(resources))
+        except OverflowError:
+            raise ParseError("a table value is out of range") from None
     else:
         curves = []
-        for entry in resources:
-            curve = entry.get("curve")
-            if not isinstance(curve, list):
-                raise ParseError(f"resource {entry.get('id')}: missing value curve")
-            curves.append(tuple(float(v) for v in curve))
+        for r, entry in enumerate(resources):
+            curves.append(_numbers(entry.get("curve"), f"resource {r}: value curve"))
         welfare = SeparableWelfare(curves=tuple(curves))
 
     raw_sets = _expect(doc, "action_sets", "document")
@@ -437,13 +461,15 @@ def parse(document: str) -> GameInstance:
             raise ParseError(f"agent {i}: action set must be a list")
         parsed = [EMPTY_ACTION]
         for a in acts:
-            if not isinstance(a, list) or not all(isinstance(r, int) for r in a):
+            if not isinstance(a, list) or not {int}.issuperset(map(type, a)):
                 raise ParseError(f"agent {i}: actions must be lists of resource ids")
             parsed.append(frozenset(a))
         action_sets.append(tuple(parsed))
 
     utility = _expect(doc, "utility", "document")
     compromise = _expect(doc, "compromise", "document")
+    if not (isinstance(utility, list) and isinstance(compromise, list)):
+        raise ParseError("'utility' and 'compromise' must be lists")
     if len(utility) != n or len(compromise) != n:
         raise ParseError("'utility' and 'compromise' must have one entry per agent")
     try:

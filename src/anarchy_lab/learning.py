@@ -16,15 +16,14 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .equilibrium import _Engine
 from .game import (
-    EMPTY_ACTION,
     Compromise,
     GameInstance,
     JointAction,
+    _Engine,
+    empty_profile,
     validate_joint_action,
 )
 
@@ -55,7 +54,13 @@ class LearningState:
 
 @dataclass(frozen=True)
 class LllRunResult:
-    """Summary of one trajectory; welfare is recorded after every step."""
+    """Summary of one trajectory; welfare is recorded after every step.
+
+    ``std_welfare`` is the spread of the welfare within this one trajectory,
+    not the uncertainty of ``mean_welfare``: successive steps are
+    correlated, so the mean's standard error is not ``std_welfare`` divided
+    by the square root of the step count.
+    """
 
     temperature: float
     steps: int
@@ -144,39 +149,15 @@ class SweepResult:
 
 # ---------------------------------------------------------------------------
 # shared arithmetic (the reference step and the fast runner must agree
-# bit-for-bit, so both funnel through these helpers)
-
-
-@lru_cache(maxsize=64)
-def _ctx(game: GameInstance) -> _Engine:
-    return _Engine(game)
+# bit-for-bit, so both take utilities from the game's evaluation kernel and
+# sample through these helpers)
 
 
 def _updatable(game: GameInstance):
-    return [
-        i for i in range(game.n) if game.compromise[i] is not Compromise.DISABLED
-    ]
-
-
-def _agent_utilities(eng: _Engine, game: GameInstance, i: int, a: JointAction):
-    """Effective utility of each of agent i's actions, others held at ``a``."""
-    lab = game.compromise[i]
-    if lab in (Compromise.BLIND, Compromise.ISOLATED):
-        base = [0] * eng.m if eng.separable else frozenset()
-    else:
-        if eng.separable:
-            base = [0] * eng.m
-            for j in range(eng.n):
-                if j != i and eng.visible[j]:
-                    for r in sorted(a[j]):
-                        base[r] += 1
-        else:
-            out = set()
-            for j in range(eng.n):
-                if j != i and eng.visible[j]:
-                    out |= a[j]
-            base = frozenset(out)
-    return [eng.candidate_utility(i, res, base) for res in eng.act_res[i]]
+    upd = [i for i, c in enumerate(game.compromise) if c is not Compromise.DISABLED]
+    if not upd:
+        raise ValueError("every agent is disabled, so no agent can update")
+    return upd
 
 
 def _softmax(utilities, T: float):
@@ -203,8 +184,8 @@ def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
-    eng = _ctx(game)
-    return _softmax(_agent_utilities(eng, game, i, a), T)
+    eng = game._engine
+    return _softmax(eng.utilities(i, eng.context(a, eng.sees[i])), T)
 
 
 def lll_step(game: GameInstance, state: LearningState, T: float) -> LearningState:
@@ -214,8 +195,7 @@ def lll_step(game: GameInstance, state: LearningState, T: float) -> LearningStat
         raise ValueError("temperature must be positive")
     upd = _updatable(game)
     i = upd[state.rng.randrange(len(upd))]
-    eng = _ctx(game)
-    probs = _softmax(_agent_utilities(eng, game, i, state.current), T)
+    probs = action_distribution(game, i, state.current, T)
     j = _sample_index(probs, state.rng.random())
     new = state.current[:i] + (game.action_sets[i][j],) + state.current[i + 1 :]
     return LearningState(current=new, step=state.step + 1, rng=state.rng)
@@ -248,13 +228,12 @@ def lll_run(
     if not 0 <= burn_in < steps:
         raise ValueError("burn_in must lie in [0, steps)")
     if a0 is None:
-        a0 = tuple(EMPTY_ACTION for _ in range(game.n))
+        a0 = empty_profile(game)
     validate_joint_action(game, a0)
     rng = random.Random(seed)
-    eng = _ctx(game)
-    runner = _SeparableRunner(eng, game, a0) if eng.separable else _GenericRunner(eng, game, a0)
-
     upd = _updatable(game)
+    eng = game._engine
+    runner = (_SeparableRunner if eng.separable else _GenericRunner)(eng, a0)
     n_upd = len(upd)
     total = 0.0
     total_sq = 0.0
@@ -297,39 +276,18 @@ def lll_run(
 class _SeparableRunner:
     """Incremental counts and welfare for separable games."""
 
-    def __init__(self, eng: _Engine, game: GameInstance, a0: JointAction):
+    def __init__(self, eng: _Engine, a0: JointAction):
         self.eng = eng
-        self.game = game
-        self.idxs = [game.action_sets[i].index(a0[i]) for i in range(game.n)]
-        self.zero = [0] * eng.m
-        self.vis = [0] * eng.m
-        self.counts = [0] * eng.m
-        for i in range(eng.n):
-            for r in eng.act_res[i][self.idxs[i]]:
-                self.counts[r] += 1
-                if eng.visible[i]:
-                    self.vis[r] += 1
-        curves = eng.curves
-        self.welfare = 0.0
-        for r in range(eng.m):
-            self.welfare += curves[r][self.counts[r]]
-        self.blindish = [
-            c in (Compromise.BLIND, Compromise.ISOLATED) for c in game.compromise
-        ]
+        self.idxs = [acts.index(a0[i]) for i, acts in enumerate(eng.actions)]
+        self.counts = eng.context(a0)
+        self.vis = eng.context(a0, [i for i in range(eng.n) if eng.visible[i]])
+        self.welfare = eng.value(self.counts)
 
     def utilities(self, i: int):
         eng = self.eng
-        if self.blindish[i]:
-            base = self.zero
-        else:
-            base = self.vis
-            for r in eng.act_res[i][self.idxs[i]]:
-                base[r] -= 1
-        out = [eng.candidate_utility(i, res, base) for res in eng.act_res[i]]
-        if not self.blindish[i]:
-            for r in eng.act_res[i][self.idxs[i]]:
-                base[r] += 1
-        return out
+        if not eng.sees[i]:
+            return eng.utilities(i, eng.empty)
+        return eng.utilities(i, self.vis, eng.actions[i][self.idxs[i]])
 
     def apply(self, i: int, j: int) -> float:
         eng = self.eng
@@ -355,38 +313,27 @@ class _SeparableRunner:
         return self.welfare
 
     def profile(self) -> JointAction:
-        return tuple(
-            self.game.action_sets[i][self.idxs[i]] for i in range(self.game.n)
-        )
+        return self.eng.profile(self.idxs)
 
 
 class _GenericRunner:
     """Straightforward profile-based runner for tabulated games."""
 
-    def __init__(self, eng: _Engine, game: GameInstance, a0: JointAction):
+    def __init__(self, eng: _Engine, a0: JointAction):
         self.eng = eng
-        self.game = game
-        self.idxs = [game.action_sets[i].index(a0[i]) for i in range(game.n)]
-        self.blindish = [
-            c in (Compromise.BLIND, Compromise.ISOLATED) for c in game.compromise
-        ]
+        self.current = list(a0)
 
     def utilities(self, i: int):
         eng = self.eng
-        if self.blindish[i]:
-            base = frozenset()
-        else:
-            base = eng.visible_context(self.idxs, skip=i)
-        return [eng.candidate_utility(i, res, base) for res in eng.act_res[i]]
+        return eng.utilities(i, eng.context(self.current, eng.sees[i]))
 
     def apply(self, i: int, j: int) -> float:
-        self.idxs[i] = j
-        return self.eng.welfare_of_indices(self.idxs)
+        eng = self.eng
+        self.current[i] = eng.actions[i][j]
+        return eng.value(eng.context(self.current))
 
     def profile(self) -> JointAction:
-        return tuple(
-            self.game.action_sets[i][self.idxs[i]] for i in range(self.game.n)
-        )
+        return tuple(self.current)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +410,13 @@ def random_play_baseline(game: GameInstance, steps: int, seed: int) -> float:
     if steps < 1:
         raise ValueError("need at least one step")
     rng = random.Random(seed)
-    eng = _ctx(game)
-    a0 = tuple(EMPTY_ACTION for _ in range(game.n))
-    runner = _SeparableRunner(eng, game, a0) if eng.separable else _GenericRunner(eng, game, a0)
     upd = _updatable(game)
+    eng = game._engine
+    runner = (_SeparableRunner if eng.separable else _GenericRunner)(eng, empty_profile(game))
     n_upd = len(upd)
     total = 0.0
     for _ in range(steps):
         i = upd[rng.randrange(n_upd)]
-        j = rng.randrange(len(eng.act_res[i]))
+        j = rng.randrange(len(eng.actions[i]))
         total += runner.apply(i, j)
     return total / steps

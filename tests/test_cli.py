@@ -5,6 +5,8 @@ import json
 import pytest
 
 import anarchy_lab as al
+import anarchy_lab.game as game_module
+from anarchy_lab import cli
 from anarchy_lab.cli import main
 
 
@@ -97,6 +99,101 @@ class TestCheck:
         assert "equal-share" in err
 
 
+    def test_runs_the_submodularity_scan_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.json"
+        path.write_text(al.serialize(al.gen_k_blind(4, 2, 0.01, 0.01)))
+        scan = game_module.check_submodular
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(game_module, "check_submodular", counting)
+        monkeypatch.setattr(cli, "check_submodular", counting, raising=False)
+        code, _, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 0
+        assert len(calls) == 1
+
+
+SEPARABLE_DOC = {
+    "n": 2,
+    "resources": [{"id": 0, "curve": [0.0, 1.0, 1.5]}],
+    "action_sets": [[[0]], [[0]]],
+    "utility": ["mc", "mc"],
+    "compromise": ["normal", "normal"],
+}
+TABULATED_DOC = {
+    "n": 1,
+    "resources": [{"id": 0}, {"id": 1}],
+    "table": [
+        {"subset": [], "value": 0.0},
+        {"subset": [0], "value": 1.0},
+        {"subset": [1], "value": 1.0},
+    ],
+    "action_sets": [[[0], [1]]],
+    "utility": ["mc"],
+    "compromise": ["normal"],
+}
+
+
+def edited(doc, **fields):
+    return {**doc, **fields}
+
+
+MALFORMED_DOCUMENTS = {
+    "resource-not-an-object": edited(SEPARABLE_DOC, resources=[0]),
+    "utility-not-a-list": edited(SEPARABLE_DOC, utility=3),
+    "compromise-not-a-list": edited(SEPARABLE_DOC, compromise=None),
+    "table-not-a-list": edited(TABULATED_DOC, table=3),
+    "table-entry-not-an-object": edited(TABULATED_DOC, table=[[0]]),
+    "string-ids-in-table-subsets": edited(
+        TABULATED_DOC,
+        table=[{"subset": ["a"], "value": 1.0}, {"subset": [0], "value": 1.0}],
+    ),
+    "n-is-a-boolean": edited(
+        SEPARABLE_DOC,
+        n=True,
+        resources=[{"id": 0, "curve": [0.0, 1.0]}],
+        action_sets=[[[0]]],
+        utility=["mc"],
+        compromise=["normal"],
+    ),
+    "string-in-curve": edited(SEPARABLE_DOC, resources=[{"id": 0, "curve": [0.0, "1", 1.5]}]),
+    "nan-in-curve": edited(
+        SEPARABLE_DOC, resources=[{"id": 0, "curve": [0.0, 1.0, float("nan")]}]
+    ),
+    "infinity-in-curve": edited(
+        SEPARABLE_DOC, resources=[{"id": 0, "curve": [0.0, float("inf"), float("inf")]}]
+    ),
+    "nan-in-table": edited(
+        TABULATED_DOC,
+        table=TABULATED_DOC["table"][:2] + [{"subset": [1], "value": float("nan")}],
+    ),
+    "infinity-in-table": edited(
+        TABULATED_DOC,
+        table=TABULATED_DOC["table"][:2] + [{"subset": [1], "value": float("inf")}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exits_two_with_an_error(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    code, _, err = run(capsys, "check", "--instance", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_well_formed_documents_pass(tmp_path, capsys):
+    for doc in (SEPARABLE_DOC, TABULATED_DOC):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 0
+
+
 class TestAnalysis:
     @pytest.fixture()
     def instance(self, tmp_path):
@@ -133,6 +230,14 @@ class TestAnalysis:
         assert code == 0
         assert "satisfied" in out
         assert "no" not in [cell.strip() for line in out.splitlines() for cell in line.split("  ")]
+
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_bounds_rejects_negative_parameters(self, flag, capsys):
+        code, _, err = run(
+            capsys, "bounds", "--family", "k_blind", "--n", "4", "--k", "1", flag, "-0.1"
+        )
+        assert code == 2
+        assert "nonnegative" in err
 
     def test_bounds_hub_family_all_rows_satisfied(self, capsys):
         code, out, _ = run(
@@ -206,3 +311,17 @@ class TestLll:
             "--steps", "2000", "--trials", "1", "--seed", "2", "--init", "worst-ne",
         )
         assert code == 0
+
+    def test_all_disabled_game_exits_two(self, tmp_path, capsys):
+        inst = tmp_path / "off.json"
+        inst.write_text(al.serialize(al.GameInstance(
+            welfare=al.SeparableWelfare(curves=((0.0, 1.0, 1.0),)),
+            action_sets=((frozenset({0}),), (frozenset({0}),)),
+            utilities=(al.Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(al.Compromise.DISABLED,) * 2,
+        )))
+        code, _, err = run(
+            capsys, "lll", "--instance", str(inst), "--temps", "0.1", "--steps", "10",
+        )
+        assert code == 2
+        assert "disabled" in err

@@ -346,9 +346,22 @@ class TestOptimalWelfare:
             for game in games:
                 al.optimal_welfare(game)
                 al.enumerate_pne(game)
+            # a game builds its evaluation kernel, which goes with the game
+            for game in (
+                al.gen_mc_blind(6, 3, 0.01, label_mixes(3)[2]),
+                coverage_game(6, 4, [Compromise.BLIND]),
+            ):
+                al.welfare_eval(game, al.empty_profile(game))
+            del game
             assert gc.collect() == 0
         finally:
             gc.enable()
+        # the kernel takes no part in comparison, hashing or the repr
+        twin = coverage_game(5, 4, [Compromise.BLIND, Compromise.ISOLATED])
+        al.enumerate_pne(twin)
+        assert games[1]._engine is not twin._engine
+        assert games[1] == twin and hash(games[1]) == hash(twin)
+        assert "_engine" not in repr(twin) and "_Engine" not in repr(twin)
 
 
 class TestTheoreticalPoa:

@@ -1,6 +1,7 @@
 """Welfare, utilities, observation structure and the compromise transform."""
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -316,6 +317,24 @@ class TestConstructionAndValidation:
                 action_sets=((frozenset({0}),), (frozenset({0}),)),
                 utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
                 compromise=(Compromise.NORMAL,) * 2,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(al.ValidationError, match="finite"):
+            al.GameInstance(
+                welfare=al.SeparableWelfare(curves=((0.0, 1.0, bad),)),
+                action_sets=((frozenset({0}),), (frozenset({0}),)),
+                utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+                compromise=(Compromise.NORMAL,) * 2,
+            )
+        w = al.TabulatedWelfare.from_mapping({frozenset(): 0.0, frozenset({0}): bad}, 1)
+        with pytest.raises(al.ValidationError, match="finite"):
+            al.GameInstance(
+                welfare=w,
+                action_sets=((frozenset({0}),),),
+                utilities=(Utility.MARGINAL_CONTRIBUTION,),
+                compromise=(Compromise.NORMAL,),
             )
 
     def test_equal_share_needs_separable(self):

@@ -4,6 +4,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise
@@ -225,3 +227,57 @@ class TestSerialization:
         doc["compromise"][0] = "sleepy"
         with pytest.raises(al.ParseError):
             al.parse(json.dumps(doc))
+
+
+# any JSON value, including non-finite floats and an integer no float holds
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+SEED_DOCUMENTS = (
+    al.serialize(al.gen_k_blind(3, 1, 0.01, 0.01)),
+    al.serialize(al.subgame(al.gen_mc_blind(3, 1, 0.01), {0: frozenset({0})})),
+)
+
+
+def json_slots(node):
+    """Every (container, key) position in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    slots = []
+    for key, child in items:
+        slots.append((node, key))
+        slots.extend(json_slots(child))
+    return slots
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_raise_only_parse_error(data):
+    doc = json.loads(data.draw(st.sampled_from(SEED_DOCUMENTS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = json_slots(doc)
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        if data.draw(st.booleans()):
+            container[key] = data.draw(JSON_VALUES)
+        else:
+            del container[key]
+    try:
+        al.parse(json.dumps(doc))
+    except al.ParseError:
+        pass
+

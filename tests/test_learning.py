@@ -221,3 +221,24 @@ def test_baseline_keeps_disabled_agents_opted_out():
     # only the normal agent's unit resource can ever contribute
     assert mean <= 1.0
     assert mean == pytest.approx(0.5, abs=0.02)
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_all_disabled_game_is_refused_with_its_cause(separable):
+    if separable:
+        welfare = al.SeparableWelfare(curves=((0.0, 1.0, 1.0),))
+    else:
+        welfare = al.TabulatedWelfare.from_mapping({frozenset(): 0.0, frozenset({0}): 1.0}, 1)
+    g = al.GameInstance(
+        welfare=welfare,
+        action_sets=((frozenset({0}),), (frozenset({0}),)),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+        compromise=(Compromise.DISABLED,) * 2,
+    )
+    state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
+    with pytest.raises(ValueError, match="disabled"):
+        al.lll_run(g, T=0.1, steps=10, seed=0)
+    with pytest.raises(ValueError, match="disabled"):
+        al.lll_step(g, state, T=0.1)
+    with pytest.raises(ValueError, match="disabled"):
+        al.random_play_baseline(g, steps=10, seed=0)

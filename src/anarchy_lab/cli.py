@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional
 
@@ -92,7 +93,10 @@ def _parse_labels(spec: Optional[str], k: int):
 def _parse_k_range(spec: str):
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ks = list(range(int(lo), int(hi) + 1))
+        if not ks:
+            raise ValueError(f"empty k range {spec!r}: the first k exceeds the last")
+        return ks
     return [int(spec)]
 
 
@@ -113,8 +117,6 @@ def _parse_temps(spec: str):
         if mode == "log":
             if start <= 0 or stop <= 0:
                 raise ValueError("log-spaced temperatures must be positive")
-            import math
-
             la, lb = math.log(start), math.log(stop)
             return [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
         return [start + (stop - start) * i / (count - 1) for i in range(count)]
@@ -312,20 +314,44 @@ def cmd_bounds(args) -> int:
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 
-def cmd_search(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _read_search_config(path: str) -> eq.SearchConfig:
+    """The search config file: a JSON object with a positive integer ``n``
+    and a nonempty list of finite numbers ``value_grid``; every other key
+    is optional."""
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    config = eq.SearchConfig(
-        n=int(raw["n"]),
-        k=int(raw.get("k", 0)),
-        labels=tuple(Compromise(l) for l in raw.get("labels", [])),
+    if not isinstance(raw, dict):
+        raise inst.ParseError("search config: need a JSON object")
+
+    def integer(key, default=None, least=1):
+        v = inst._expect(raw, key, "search config") if default is None else raw.get(key, default)
+        if type(v) is not int or (least is not None and v < least):
+            raise inst.ParseError(f"search config: {key!r} must be an integer >= {least}")
+        return v
+
+    n = integer("n")
+    grid = inst._numbers(inst._expect(raw, "value_grid", "search config"), "search config value_grid")
+    if not grid or not all(map(math.isfinite, grid)):
+        raise inst.ParseError("search config: 'value_grid' must be a nonempty list of finite numbers")
+    labels = raw.get("labels", [])
+    if not isinstance(labels, list):
+        raise inst.ParseError("search config: 'labels' must be a list")
+    # the enums raise ValueError on any value they do not name
+    return eq.SearchConfig(
+        n=n,
+        k=integer("k", 0, least=0),
+        labels=tuple(Compromise(l) for l in labels),
         utility_class=eq.UtilityClass(raw.get("utility_class", "vug")),
-        value_grid=tuple(float(v) for v in raw["value_grid"]),
-        budget=int(raw.get("budget", 200)),
-        seed=int(raw.get("seed", 0)),
-        max_resources=int(raw.get("max_resources", 4)),
-        max_actions=int(raw.get("max_actions", 3)),
+        value_grid=grid,
+        budget=integer("budget", 200),
+        seed=integer("seed", 0, least=None),
+        max_resources=integer("max_resources", 4),
+        max_actions=integer("max_actions", 3),
     )
+
+
+def cmd_search(args) -> int:
+    config = _read_search_config(args.config)
     game, report = eq.worst_case_search(config)
     print(f"candidates examined: {config.budget}")
     print(f"worst ratio found:   {_value(report.ratio)}")

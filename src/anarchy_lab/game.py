@@ -713,21 +713,32 @@ def check_vug(
     _require_cap(game, cap)
     welfare_report = check_submodular(game, cap=cap)
 
-    util = utility_fn if utility_fn is not None else designed_utility
     cond2_ok = True
     cond3_ok = True
     cond3_tight = True
     failure: Optional[CheckFinding] = None
     profiles = 0
 
+    # one W(a) per profile and at most one opt-out welfare per agent: the
+    # same welfare_eval calls marginal_contribution makes, so the same floats
     for a in all_profiles(game):
         profiles += 1
         w = welfare_eval(game, a)
         total = 0.0
         for i in range(game.n):
-            u = util(game, i, a)
+            marginal = None
+            if utility_fn is not None:
+                u = utility_fn(game, i, a)
+            elif game.utilities[i] is Utility.MARGINAL_CONTRIBUTION:
+                u = marginal = w - welfare_eval(game, _replace(a, i, EMPTY_ACTION))
+            else:
+                u = equal_share(game, i, a)
             total += u
-            if cond2_ok and u < marginal_contribution(game, i, a) - TOLERANCE:
+            if not cond2_ok:
+                continue
+            if marginal is None:
+                marginal = w - welfare_eval(game, _replace(a, i, EMPTY_ACTION))
+            if u < marginal - TOLERANCE:
                 cond2_ok = False
                 if failure is None:
                     failure = CheckFinding(
@@ -737,7 +748,7 @@ def check_vug(
                             "agent": i,
                             "profile": [sorted(x) for x in a],
                             "utility": u,
-                            "marginal": marginal_contribution(game, i, a),
+                            "marginal": marginal,
                         },
                     )
         if total > w + TOLERANCE:

@@ -7,10 +7,20 @@ other actions held fixed. Runs are reproducible: a run is a pure function of
 (game, temperature, steps, seed, start profile), and sweep trials derive
 their sub-seeds from the master seed by a fixed splitting scheme, so results
 do not depend on worker count or execution order.
+
+``lll_run`` keeps, for the length of one call, a cache of the sampling
+distributions it has built, keyed by what the softmax depends on: the agent
+alone if it sees nobody (blind and isolated agents), else the agent, its
+current action and the visible counts it observes (only those of the
+resources its actions touch, for separable welfare). An entry holds the
+running sums ``_sample_index`` would form, so each draw, the random stream
+and the output bytes are those of iterating :func:`lll_step`.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 import random
@@ -41,6 +51,9 @@ __all__ = [
 ]
 
 THREADS_ENV = "ANARCHY_LAB_THREADS"
+# entries kept by one run's cache of sampling distributions before it is
+# emptied; a refill draws the same numbers, so this bounds memory only
+_CACHE_LIMIT = 1 << 16
 
 
 @dataclass
@@ -176,6 +189,13 @@ def _sample_index(probs, r: float) -> int:
     return len(probs) - 1
 
 
+def _draw(cum, r: float) -> int:
+    """``_sample_index(probs, r)`` given the running sums ``cum`` of
+    ``probs``: the first index whose sum exceeds r, else the last."""
+    j = bisect.bisect_right(cum, r)
+    return j if j < len(cum) else j - 1
+
+
 def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
     """Softmax sampling distribution over agent i's actions at profile ``a``.
 
@@ -235,6 +255,9 @@ def lll_run(
     eng = game._engine
     runner = (_SeparableRunner if eng.separable else _GenericRunner)(eng, a0)
     n_upd = len(upd)
+    # cumulative sampling weights by what the softmax depends on; built with
+    # the additions _sample_index makes, so every draw is the same
+    cache = {}
     total = 0.0
     total_sq = 0.0
     w_min = math.inf
@@ -243,10 +266,13 @@ def lll_run(
     trace = [] if keep_trace else None
     for step in range(steps):
         i = upd[rng.randrange(n_upd)]
-        utilities = runner.utilities(i)
-        probs = _softmax(utilities, T)
-        j = _sample_index(probs, rng.random())
-        w = runner.apply(i, j)
+        key = runner.key(i)
+        cum = cache.get(key)
+        if cum is None:
+            if len(cache) >= _CACHE_LIMIT:
+                cache.clear()
+            cum = cache[key] = list(itertools.accumulate(_softmax(runner.utilities(i), T)))
+        w = runner.apply(i, _draw(cum, rng.random()))
         if trace is not None:
             trace.append(w)
         if step >= burn_in:
@@ -273,15 +299,57 @@ def lll_run(
     )
 
 
-class _SeparableRunner:
-    """Incremental counts and welfare for separable games."""
+class _Runner:
+    """A trajectory's state: each agent's action index and the selection
+    counts of all agents and of the visible ones, kept incrementally."""
 
     def __init__(self, eng: _Engine, a0: JointAction):
         self.eng = eng
         self.idxs = [acts.index(a0[i]) for i, acts in enumerate(eng.actions)]
-        self.counts = eng.context(a0)
-        self.vis = eng.context(a0, [i for i in range(eng.n) if eng.visible[i]])
+        self.counts = [0] * eng.m
+        self.vis = [0] * eng.m
+        for i, act in enumerate(a0):
+            for r in act:
+                self.counts[r] += 1
+                self.vis[r] += eng.visible[i]
+
+    def _move(self, i: int, old: int, j: int) -> None:
+        """Record agent i's switch from action ``old`` to ``j`` in the
+        visible counts; the subclass has already updated ``counts``."""
+        eng = self.eng
+        if eng.visible[i]:
+            vis = self.vis
+            for r in eng.act_res[i][old]:
+                vis[r] -= 1
+            for r in eng.act_res[i][j]:
+                vis[r] += 1
+        self.idxs[i] = j
+
+    def profile(self) -> JointAction:
+        return self.eng.profile(self.idxs)
+
+
+class _SeparableRunner(_Runner):
+    """Incremental welfare for separable games."""
+
+    def __init__(self, eng: _Engine, a0: JointAction):
+        super().__init__(eng, a0)
         self.welfare = eng.value(self.counts)
+        # the resources agent i's actions touch, None if i sees nobody
+        self.touched = [
+            tuple(sorted(set().union(*res))) if eng.sees[i] else None
+            for i, res in enumerate(eng.act_res)
+        ]
+
+    def key(self, i: int):
+        """What agent i's sampling distribution depends on besides T: the
+        agent alone if it sees nobody, else its action and the visible
+        counts of the resources its actions touch."""
+        touched = self.touched[i]
+        if touched is None:
+            return i
+        vis = self.vis
+        return (i, self.idxs[i], tuple([vis[r] for r in touched]))
 
     def utilities(self, i: int):
         eng = self.eng
@@ -303,37 +371,46 @@ class _SeparableRunner:
                 c = counts[r]
                 counts[r] = c + 1
                 self.welfare += curves[r][c + 1] - curves[r][c]
-            if eng.visible[i]:
-                vis = self.vis
-                for r in eng.act_res[i][old]:
-                    vis[r] -= 1
-                for r in eng.act_res[i][j]:
-                    vis[r] += 1
-            self.idxs[i] = j
+            self._move(i, old, j)
         return self.welfare
 
-    def profile(self) -> JointAction:
-        return self.eng.profile(self.idxs)
 
-
-class _GenericRunner:
-    """Straightforward profile-based runner for tabulated games."""
+class _GenericRunner(_Runner):
+    """Tabulated games: the table is read again only when the base set
+    changes, that is when some count crosses zero."""
 
     def __init__(self, eng: _Engine, a0: JointAction):
-        self.eng = eng
-        self.current = list(a0)
+        super().__init__(eng, a0)
+        self.welfare = None  # read on the first step: a0's base set may lack an entry
+
+    def key(self, i: int):
+        """The agent alone if it sees nobody, else its action and every
+        visible count: tabulated welfare depends on the whole base set."""
+        if not self.eng.sees[i]:
+            return i
+        return (i, self.idxs[i], tuple(self.vis))
 
     def utilities(self, i: int):
         eng = self.eng
-        return eng.utilities(i, eng.context(self.current, eng.sees[i]))
+        return eng.utilities(i, eng.context(self.profile(), eng.sees[i]))
 
     def apply(self, i: int, j: int) -> float:
         eng = self.eng
-        self.current[i] = eng.actions[i][j]
-        return eng.value(eng.context(self.current))
-
-    def profile(self) -> JointAction:
-        return tuple(self.current)
+        old = self.idxs[i]
+        if j != old:
+            counts = self.counts
+            for r in eng.act_res[i][j]:
+                if not counts[r]:
+                    self.welfare = None
+                counts[r] += 1
+            for r in eng.act_res[i][old]:
+                counts[r] -= 1
+                if not counts[r]:
+                    self.welfare = None
+            self._move(i, old, j)
+        if self.welfare is None:
+            self.welfare = eng.value(frozenset([r for r, c in enumerate(self.counts) if c]))
+        return self.welfare
 
 
 # ---------------------------------------------------------------------------

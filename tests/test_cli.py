@@ -239,6 +239,12 @@ class TestAnalysis:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_bounds_rejects_a_reversed_k_range(self, capsys):
+        code, out, err = run(capsys, "bounds", "--family", "k_blind", "--n", "4", "--k", "3..1")
+        assert code == 2
+        assert out == ""
+        assert "empty k range" in err
+
     def test_bounds_hub_family_all_rows_satisfied(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--family", "k_blind", "--n", "6", "--k", "0..4",
@@ -270,6 +276,31 @@ class TestSearch:
         doc = json.loads(rep.read_text())
         assert doc["ratio"] >= doc["theoretical_bound"] - 1e-9
         assert al.instance_poa(game).ratio == pytest.approx(doc["ratio"], abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"k": 1},
+            [1],
+            {"n": "x", "value_grid": [1]},
+            {"n": True, "value_grid": [1]},
+            {"n": 3, "value_grid": []},
+            {"n": 3, "value_grid": [1.0, None]},
+            {"n": 3, "value_grid": [1.0], "budget": 0},
+            {"n": 3, "value_grid": [1.0], "labels": "blind"},
+        ],
+        ids=[
+            "lacks-n", "not-an-object", "string-n", "boolean-n", "empty-grid",
+            "null-in-grid", "zero-budget", "labels-not-a-list",
+        ],
+    )
+    def test_bad_config_exits_two_with_an_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, "search", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: search config")
 
 
 class TestLll:

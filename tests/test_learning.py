@@ -1,5 +1,7 @@
 """Log-linear learning: sampling distribution, trajectories, sweeps."""
 
+import dataclasses
+import itertools
 import math
 import random
 
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility
-from anarchy_lab.learning import LearningState, _sample_index, _softmax
+from anarchy_lab import learning
+from anarchy_lab.learning import LearningState, _draw, _sample_index, _softmax
 
 
 def two_action_game(v0, v1):
@@ -70,6 +73,26 @@ class TestActionDistribution:
     def test_sampling_always_picks_a_valid_index(self, r):
         probs = [0.2, 0.3, 0.5]
         assert 0 <= _sample_index(probs, r) < 3
+
+
+    @given(
+        utilities=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+        temperature=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draw_from_running_sums_equals_sample_index(self, utilities, temperature):
+        probs = _softmax(utilities, temperature)
+        cum = list(itertools.accumulate(probs))
+        edges = [0.0, 1.0 - 2.0**-53] + cum
+        for r in edges + [math.nextafter(x, 0.0) for x in edges]:
+            if 0.0 <= r < 1.0:
+                assert _draw(cum, r) == _sample_index(probs, r)
+
+    def test_draw_past_a_total_below_one_takes_the_last_action(self):
+        probs = _softmax([0.0] * 7, 1.0)
+        cum = list(itertools.accumulate(probs))
+        assert cum[-1] < 1.0 - 2.0**-53
+        assert _draw(cum, 1.0 - 2.0**-53) == _sample_index(probs, 1.0 - 2.0**-53) == 6
 
 
 class TestStep:
@@ -242,3 +265,148 @@ def test_all_disabled_game_is_refused_with_its_cause(separable):
         al.lll_step(g, state, T=0.1)
     with pytest.raises(ValueError, match="disabled"):
         al.random_play_baseline(g, steps=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the cached runner against the uncached per-step reference
+
+LABELS = (Compromise.NORMAL, Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED)
+
+
+def reference_lll_run(game, T, steps, seed, a0=None, burn_in=0, keep_trace=False):
+    """lll_run without the cache: every step takes the sampled agent's
+    distribution from action_distribution and draws with _sample_index.
+    Separable welfare is the runner's incremental sum, whose summation order
+    the outputs depend on; tabulated welfare is welfare_eval's table entry."""
+    rng = random.Random(seed)
+    upd = [i for i, c in enumerate(game.compromise) if c is not Compromise.DISABLED]
+    current = al.empty_profile(game) if a0 is None else a0
+    sep = learning._SeparableRunner(game._engine, current) if game.separable else None
+    values = []
+    for _ in range(steps):
+        i = upd[rng.randrange(len(upd))]
+        j = _sample_index(al.action_distribution(game, i, current, T), rng.random())
+        current = current[:i] + (game.action_sets[i][j],) + current[i + 1 :]
+        values.append(sep.apply(i, j) if sep else al.welfare_eval(game, current))
+    kept = values[burn_in:]
+    total = total_sq = 0.0
+    for w in kept:
+        total += w
+        total_sq += w * w
+    mean = total / len(kept)
+    return learning.LllRunResult(
+        temperature=T,
+        steps=steps,
+        seed=seed,
+        burn_in=burn_in,
+        mean_welfare=mean,
+        std_welfare=math.sqrt(max(total_sq / len(kept) - mean * mean, 0.0)),
+        min_welfare=min(kept),
+        max_welfare=max(kept),
+        final=current,
+        trace=tuple(values) if keep_trace else None,
+    )
+
+
+def coverage_game(rng, labels):
+    """Weighted-coverage welfare tabulated over every resource subset, with
+    marginal-contribution utilities."""
+    n = len(labels)
+    m = rng.randint(2, 5)
+    cover = [frozenset(rng.sample(range(6), rng.randint(1, 3))) for _ in range(m)]
+    weights = [round(rng.uniform(0.01, 1.0), 2) for _ in range(6)]
+    table = {}
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            covered = frozenset().union(*(cover[r] for r in subset))
+            table[frozenset(subset)] = sum(weights[e] for e in sorted(covered))
+    action_sets = []
+    for _ in range(n):
+        want = rng.randint(1, 3)
+        acts = set()
+        while len(acts) < want:
+            acts.add(frozenset(rng.sample(range(m), rng.choice((1, 1, 2)))))
+        action_sets.append(tuple(sorted(acts, key=sorted)))
+    return al.GameInstance(
+        welfare=al.TabulatedWelfare.from_mapping(table, m),
+        action_sets=tuple(action_sets),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=tuple(labels),
+    )
+
+
+def random_start(game, rng):
+    """A random playable profile: disabled agents opted out."""
+    return tuple(
+        frozenset() if c is Compromise.DISABLED else rng.choice(acts)
+        for acts, c in zip(game.action_sets, game.compromise)
+    )
+
+
+def mixed_games(count):
+    """Separable and tabulated games whose agents carry every label."""
+    rng = random.Random(2024)
+    for g in range(count):
+        n = rng.randint(2, 6)
+        labels = [LABELS[(g + a) % 4] if a < 4 else rng.choice(LABELS) for a in range(n)]
+        if all(l is Compromise.DISABLED for l in labels):
+            labels[0] = Compromise.NORMAL
+        rng.shuffle(labels)
+        sep = al.gen_random_separable(n, 5, 4, seed=g)
+        yield dataclasses.replace(sep, compromise=tuple(labels)), rng
+        yield coverage_game(rng, labels), rng
+
+
+class TestCachedRunner:
+    @pytest.mark.parametrize("T", [1e-3, 0.1, 10.0])
+    def test_equals_the_uncached_reference(self, T):
+        for game, rng in mixed_games(12):
+            a0 = random_start(game, rng)
+            seed = rng.randrange(2**32)
+            for start, burn_in in ((None, 0), (a0, 37)):
+                got = al.lll_run(game, T, 400, seed, a0=start, burn_in=burn_in, keep_trace=True)
+                want = reference_lll_run(game, T, 400, seed, a0=start, burn_in=burn_in, keep_trace=True)
+                assert got == want, game
+
+    def test_equals_the_reference_on_the_simulation_game(self):
+        for labels in ([Compromise.BLIND] * 9, [Compromise.ISOLATED] * 9):
+            game = al.gen_sim_game(10, 9, 0.05, labels=labels)
+            for T in (1e-3, 0.1, 10.0):
+                got = al.lll_run(game, T, 3000, 11, keep_trace=True)
+                assert got == reference_lll_run(game, T, 3000, 11, keep_trace=True)
+
+    def test_an_emptied_cache_draws_the_same(self, monkeypatch):
+        monkeypatch.setattr(learning, "_CACHE_LIMIT", 2)
+        for game, rng in mixed_games(6):
+            got = al.lll_run(game, 0.1, 300, 5, keep_trace=True)
+            assert got == reference_lll_run(game, 0.1, 300, 5, keep_trace=True)
+
+    def test_builds_few_distributions_on_the_simulation_game(self, monkeypatch):
+        # nine blind agents have one distribution each; the normal agent's
+        # depends on its action and the visible counts of the resources its
+        # actions touch, so few keys exist however long the run
+        calls = []
+
+        def counting_softmax(utilities, T):
+            calls.append(1)
+            return _softmax(utilities, T)
+
+        monkeypatch.setattr(learning, "_softmax", counting_softmax)
+        al.lll_run(al.gen_sim_game(10, 9, 0.05), T=0.001, steps=30_000, seed=1)
+        assert 0 < len(calls) < 100
+
+    def test_baseline_on_tabulated_games_equals_an_uncached_loop(self):
+        for game, rng in mixed_games(12):
+            if game.separable:
+                continue
+            seed = rng.randrange(2**32)
+            r = random.Random(seed)
+            upd = [i for i, c in enumerate(game.compromise) if c is not Compromise.DISABLED]
+            current = al.empty_profile(game)
+            total = 0.0
+            for _ in range(500):
+                i = upd[r.randrange(len(upd))]
+                act = game.action_sets[i][r.randrange(len(game.action_sets[i]))]
+                current = current[:i] + (act,) + current[i + 1 :]
+                total += al.welfare_eval(game, current)
+            assert al.random_play_baseline(game, 500, seed) == total / 500

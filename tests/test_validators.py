@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import anarchy_lab as al
+import anarchy_lab.game as game_module
 from anarchy_lab import Compromise, Utility
 
 
@@ -152,3 +153,97 @@ class TestCheckVug:
                 seed=seed,
             )
             assert al.check_vug(game).ok
+
+
+def reference_vug_conditions(game, utility_fn=None):
+    """check_vug's per-profile conditions from the profile-level reference
+    functions, every utility and marginal contribution evaluated afresh."""
+    util = utility_fn if utility_fn is not None else al.designed_utility
+    cond2_ok = cond3_ok = cond3_tight = True
+    failure = None
+    profiles = 0
+    for a in al.all_profiles(game):
+        profiles += 1
+        w = al.welfare_eval(game, a)
+        total = 0.0
+        for i in range(game.n):
+            u = util(game, i, a)
+            total += u
+            if cond2_ok and u < al.marginal_contribution(game, i, a) - al.TOLERANCE:
+                cond2_ok = False
+                if failure is None:
+                    failure = game_module.CheckFinding(
+                        "utility-below-marginal",
+                        f"agent {i}'s utility is below its marginal contribution",
+                        {
+                            "agent": i,
+                            "profile": [sorted(x) for x in a],
+                            "utility": u,
+                            "marginal": al.marginal_contribution(game, i, a),
+                        },
+                    )
+        if total > w + al.TOLERANCE:
+            cond3_ok = cond3_tight = False
+            if failure is None:
+                failure = game_module.CheckFinding(
+                    "utility-sum-exceeds-welfare",
+                    "utilities sum above the welfare",
+                    {"profile": [sorted(x) for x in a], "utility_sum": total, "welfare": w},
+                )
+        elif abs(total - w) > al.TOLERANCE:
+            cond3_tight = False
+    return cond2_ok, cond3_ok, cond3_tight, failure, profiles
+
+
+class TestCheckVugSharedEvaluations:
+    GAMES = [
+        al.gen_k_blind(4, 2, 0.01, 0.01),
+        al.gen_k_blind(4, 3, 0.05, 0.02, labels=[Compromise.ISOLATED] * 3),
+        al.gen_mc_blind(5, 2, 0.01),
+        al.gen_mc_noblind(4, 2, 0.01),
+        al.gen_sim_game(4, 3, 0.05),
+        al.gen_fig1([1.0, 0.7, 0.3, 0.4, 2.0, 0.8]),
+    ] + [
+        al.gen_random_separable(n=4, max_resources=3, max_actions=3, k=seed % 3, seed=seed)
+        for seed in range(6)
+    ]
+    DESIGNS = [
+        None,
+        lambda g, i, a: 0.5 * al.marginal_contribution(g, i, a),  # below the marginal
+        lambda g, i, a: 2.0 * al.designed_utility(g, i, a),  # sums above the welfare
+        al.designed_utility,
+    ]
+
+    @pytest.mark.parametrize("design", range(len(DESIGNS)))
+    def test_matches_the_per_profile_reference(self, design):
+        fn = self.DESIGNS[design]
+        for game in self.GAMES:
+            report = al.check_vug(game, utility_fn=fn)
+            got = (
+                report.utility_dominates_marginal,
+                report.utility_sum_bounded,
+                report.utility_sum_tight,
+                report.failure if report.welfare.ok else None,
+                report.profiles_checked,
+            )
+            assert got == reference_vug_conditions(game, fn), game
+
+    @pytest.mark.parametrize("utility", list(Utility))
+    def test_evaluates_the_welfare_once_per_profile_and_agent(self, monkeypatch, utility):
+        game = al.gen_random_separable(n=6, max_resources=3, max_actions=3, seed=4,
+                                       utility_choices=(utility,))
+        calls = []
+        real = game_module.welfare_eval
+
+        def counting(g, a):
+            calls.append(1)
+            return real(g, a)
+
+        monkeypatch.setattr(game_module, "welfare_eval", counting)
+        al.check_submodular(game)
+        in_submodular = len(calls)
+        calls.clear()
+        report = al.check_vug(game)  # runs check_submodular, then the profile loop
+        assert report.ok
+        # W(a) and the n opt-out values: 7 per profile for 6 agents
+        assert len(calls) - in_submodular == report.profiles_checked * (1 + game.n)

@@ -112,7 +112,9 @@ def _parse_temps(spec: str):
             mode = "lin"
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
-        if count < 2:
+        if count < 1:
+            raise ValueError(f"temperature grid {spec!r} needs a count of at least 1")
+        if count == 1:
             return [start]
         if mode == "log":
             if start <= 0 or stop <= 0:

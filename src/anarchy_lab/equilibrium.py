@@ -764,8 +764,8 @@ def worst_case_search(config: SearchConfig):
     """Sample instances and keep the one with the smallest defined ratio.
 
     Returns (game, report) of the worst instance found; candidates with an
-    undefined ratio (no equilibrium or zero optimum) are skipped. Best-effort
-    and deterministic given the seed.
+    undefined ratio (no equilibrium or zero optimum) are skipped; ValueError
+    if every candidate was. Best-effort and deterministic given the seed.
     """
     if config.k > config.n:
         raise ValueError("k must not exceed n")
@@ -784,7 +784,10 @@ def worst_case_search(config: SearchConfig):
         if best is None or report.ratio < best[1].ratio - 0.0:
             best = (game, report)
     if best is None:
-        raise RuntimeError("no sampled candidate produced a defined ratio")
+        raise ValueError(
+            "no sampled candidate produced a defined ratio "
+            "(each had no equilibrium or a zero optimum)"
+        )
     return best
 
 

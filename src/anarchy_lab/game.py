@@ -551,6 +551,16 @@ class CheckFinding:
 
 @dataclass(frozen=True)
 class SubmodularityReport:
+    """Result of :func:`check_submodular`.
+
+    ``contexts_checked`` counts the distinct contexts whose welfare was
+    valued: the full-profile contexts, then for each agent the contexts the
+    other agents can form. ``pairs_checked`` counts the ordered pairs
+    (smaller, strictly larger context) compared, up to and including the
+    failing one. Both stop where the scan stopped, so a failing report
+    counts only what came before its failure.
+    """
+
     ok: bool
     failure: Optional[CheckFinding]
     contexts_checked: int
@@ -584,34 +594,59 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
 
     Contexts are deduplicated by what the welfare actually depends on
     (per-resource counts for separable welfare, base sets for tabulated), and
-    compared by count dominance resp. base-set inclusion. Returns a passing
-    report or the first violating tuple; refuses games whose joint action
-    space exceeds ``cap``.
+    compared by count dominance resp. base-set inclusion. Each context gets
+    the list of contexts strictly above it, built once for the full profiles
+    and once per agent for all its actions; a context's list is walked pair
+    by pair only when its extreme value shows a violation, so the report
+    names the first violating pair of a plain pair scan and counts the pairs
+    such a scan compares. Refuses games whose joint action space exceeds
+    ``cap``.
     """
     _require_cap(game, cap)
-    w0 = welfare_eval(game, empty_profile(game))
-    if abs(w0) > TOLERANCE:
-        return SubmodularityReport(
-            ok=False,
-            failure=CheckFinding(
-                "normalization", f"W(empty) = {w0!r}, expected 0", {"value": w0}
-            ),
-            contexts_checked=0,
-            pairs_checked=0,
-        )
-
     eng = game._engine
     separable = game.separable
-    contexts_checked = 0
-    pairs_checked = 0
+    contexts_checked = pairs_checked = 0
 
-    def compare(small_key, big_key) -> bool:
-        if separable:
-            return all(b >= s for b, s in zip(big_key, small_key))
-        return small_key <= big_key
+    def failed(kind, message, witness=None) -> SubmodularityReport:
+        finding = CheckFinding(kind, message, witness)
+        return SubmodularityReport(False, finding, contexts_checked, pairs_checked)
+
+    w0 = welfare_eval(game, empty_profile(game))
+    if abs(w0) > TOLERANCE:
+        return failed("normalization", f"W(empty) = {w0!r}, expected 0", {"value": w0})
+
+    # one integer per context, a field per resource holding its count (0/1
+    # in a base set) under a guard bit: b is above s exactly when no field of
+    # (b | guard) - s borrows its guard bit
+    width = game.n.bit_length() + 1 if separable else 2
+    guard = sum(1 << (r * width + width - 1) for r in range(game.num_resources))
 
     def ordered(keys) -> list:
         return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+
+    def above(keys) -> list:
+        # a context above another has a larger total resp. size: it sorts later
+        fields = (enumerate(k) if separable else ((r, 1) for r in k) for k in keys)
+        codes = [sum(c << (r * width) for r, c in f) for f in fields]
+        tops = [c | guard for c in codes]
+        return [
+            [b for b in range(s + 1, len(codes)) if (tops[b] - c) & guard == guard]
+            for s, c in enumerate(codes)
+        ]
+
+    def first_violation(margins, dominators):
+        # the first pair with margins[s] < margins[b] - TOLERANCE; fl(x - t)
+        # is monotone in x, so the max over s's list shows whether one exists
+        # (a NaN, possible only after overflow, sends s to the walk)
+        nonlocal pairs_checked
+        for s, bs in enumerate(dominators):
+            if bs and not margins[s] >= max(map(margins.__getitem__, bs)) - TOLERANCE:
+                for seen, b in enumerate(bs, 1):
+                    if margins[s] < margins[b] - TOLERANCE:
+                        pairs_checked += seen
+                        return s, b
+            pairs_checked += len(bs)
+        return None
 
     # monotonicity over deduplicated full profiles
     keys = ordered(eng.reachable(range(game.n)))
@@ -620,73 +655,43 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
             f"{len(keys)} distinct selections give too many comparable pairs"
         )
     try:
-        values = {k: eng.value(k) for k in keys}
+        values = [eng.value(k) for k in keys]
         contexts_checked += len(keys)
-        for ks in keys:
-            for kb in keys:
-                if ks == kb or not compare(ks, kb):
-                    continue
-                pairs_checked += 1
-                if values[ks] > values[kb] + TOLERANCE:
-                    return SubmodularityReport(
-                        ok=False,
-                        failure=CheckFinding(
-                            "monotonicity",
-                            "welfare decreases on a larger selection",
-                            {
-                                "smaller": _describe_key(ks, separable),
-                                "larger": _describe_key(kb, separable),
-                                "smaller_value": values[ks],
-                                "larger_value": values[kb],
-                            },
-                        ),
-                        contexts_checked=contexts_checked,
-                        pairs_checked=pairs_checked,
-                    )
+        # v_s > v_b + t exactly when -v_s < -v_b - t
+        hit = first_violation([-v for v in values], above(keys))
+        if hit:
+            s, b = hit
+            return failed("monotonicity", "welfare decreases on a larger selection", {
+                "smaller": _describe_key(keys[s], separable),
+                "larger": _describe_key(keys[b], separable),
+                "smaller_value": values[s],
+                "larger_value": values[b],
+            })
 
         # decreasing marginal returns, per agent and action
         for i in range(game.n):
             ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
             contexts_checked += len(ckeys)
-            base_vals = {k: eng.value(k) for k in ckeys}
-            for act in game.action_sets[i]:
-                if not act:
-                    continue
-                margins = {k: eng.value(eng.join(k, act)) - base_vals[k] for k in ckeys}
-                for ks in ckeys:
-                    for kb in ckeys:
-                        if ks == kb or not compare(ks, kb):
-                            continue
-                        pairs_checked += 1
-                        if margins[ks] < margins[kb] - TOLERANCE:
-                            return SubmodularityReport(
-                                ok=False,
-                                failure=CheckFinding(
-                                    "submodularity",
-                                    "marginal value grows with a larger context",
-                                    {
-                                        "agent": i,
-                                        "action": sorted(act),
-                                        "smaller_context": _describe_key(ks, separable),
-                                        "larger_context": _describe_key(kb, separable),
-                                        "margin_at_smaller": margins[ks],
-                                        "margin_at_larger": margins[kb],
-                                    },
-                                ),
-                                contexts_checked=contexts_checked,
-                                pairs_checked=pairs_checked,
-                            )
+            base = [eng.value(k) for k in ckeys]
+            acts = game.action_sets[i][1:]  # the empty action sorts first
+            dominators = above(ckeys) if acts else []
+            for act in acts:
+                margins = [eng.value(eng.join(k, act)) - v for k, v in zip(ckeys, base)]
+                hit = first_violation(margins, dominators)
+                if hit:
+                    s, b = hit
+                    return failed("submodularity", "marginal value grows with a larger context", {
+                        "agent": i,
+                        "action": sorted(act),
+                        "smaller_context": _describe_key(ckeys[s], separable),
+                        "larger_context": _describe_key(ckeys[b], separable),
+                        "margin_at_smaller": margins[s],
+                        "margin_at_larger": margins[b],
+                    })
     except ModelIncompleteError as exc:
-        return SubmodularityReport(
-            ok=False,
-            failure=CheckFinding("table-missing", str(exc), None),
-            contexts_checked=contexts_checked,
-            pairs_checked=pairs_checked,
-        )
+        return failed("table-missing", str(exc))
 
-    return SubmodularityReport(
-        ok=True, failure=None, contexts_checked=contexts_checked, pairs_checked=pairs_checked
-    )
+    return SubmodularityReport(True, None, contexts_checked, pairs_checked)
 
 
 def _describe_key(key, separable: bool):

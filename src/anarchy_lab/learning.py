@@ -173,6 +173,11 @@ def _updatable(game: GameInstance):
     return upd
 
 
+def _check_temperature(T: float) -> None:
+    if not 0 < T < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"temperature must be positive and finite, got {T!r}")
+
+
 def _softmax(utilities, T: float):
     mx = max(utilities)
     weights = [math.exp((u - mx) / T) for u in utilities]
@@ -202,8 +207,7 @@ def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
     Computed max-subtracted, so tiny temperatures with large utility gaps
     underflow to 0 rather than overflowing.
     """
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     eng = game._engine
     return _softmax(eng.utilities(i, eng.context(a, eng.sees[i])), T)
 
@@ -211,8 +215,7 @@ def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
 def lll_step(game: GameInstance, state: LearningState, T: float) -> LearningState:
     """One asynchronous update: a uniformly chosen non-disabled agent
     resamples its action from the softmax of its effective utilities."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     upd = _updatable(game)
     i = upd[state.rng.randrange(len(upd))]
     probs = action_distribution(game, i, state.current, T)
@@ -241,8 +244,7 @@ def lll_run(
     incrementally. Statistics cover the steps after ``burn_in``; the trace,
     when kept, covers all steps.
     """
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     if steps < 1:
         raise ValueError("need at least one step")
     if not 0 <= burn_in < steps:
@@ -458,8 +460,10 @@ def temperature_sweep(
     worker threads execute them, so equal inputs give byte-identical CSVs.
     """
     temps = [float(t) for t in temperatures]
-    if not temps or any(t <= 0 for t in temps):
-        raise ValueError("temperatures must be positive")
+    if not temps:
+        raise ValueError("need at least one temperature")
+    for t in temps:
+        _check_temperature(t)
     if trials < 1:
         raise ValueError("need at least one trial")
     jobs = [

@@ -302,6 +302,15 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error: search config")
 
+    def test_no_defined_ratio_exits_two_with_an_error(self, tmp_path, capsys):
+        # all-zero values give a zero optimum, so no candidate has a ratio
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "value_grid": [0], "budget": 3}))
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: no sampled candidate produced a defined ratio")
+        assert out == ""
+
 
 class TestLll:
     def test_csv_deterministic_across_runs(self, tmp_path, capsys):
@@ -342,6 +351,19 @@ class TestLll:
             "--steps", "2000", "--trials", "1", "--seed", "2", "--init", "worst-ne",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "temps", ["nan", "inf", "0.1,nan", "1:0.1:0", "1:0.1:-2", "nan:1:3(lin)"]
+    )
+    def test_bad_temperatures_exit_two_with_an_error(self, tmp_path, capsys, temps):
+        inst = tmp_path / "sim.json"
+        inst.write_text(al.serialize(al.gen_sim_game(5, 4, 0.05)))
+        code, out, err = run(
+            capsys, "lll", "--instance", str(inst), "--temps", temps, "--steps", "10",
+        )
+        assert code == 2
+        assert err.startswith("error: temperature")
+        assert out == ""
 
     def test_all_disabled_game_exits_two(self, tmp_path, capsys):
         inst = tmp_path / "off.json"

@@ -127,6 +127,19 @@ class TestStep:
         with pytest.raises(ValueError):
             al.lll_step(g, state, 0.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_temperature(self, T):
+        g = two_action_game(0.1, 0.9)
+        state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
+        for call in (
+            lambda: al.lll_step(g, state, T),
+            lambda: al.action_distribution(g, 0, state.current, T),
+            lambda: al.lll_run(g, T, steps=10, seed=0),
+            lambda: al.temperature_sweep(g, [1.0, T], steps=10, trials=1, seed=0),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
 
 class TestRun:
     def test_reproducible(self):

@@ -2,8 +2,11 @@
 their own planted-violation cases."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anarchy_lab as al
 import anarchy_lab.game as game_module
@@ -26,6 +29,243 @@ def full_table(num_resources, value_fn):
         for combo in itertools.combinations(range(num_resources), size):
             table[frozenset(combo)] = value_fn(frozenset(combo))
     return table
+
+
+def direct_scan_submodular(game):
+    """Independent oracle for check_submodular: every ordered pair of
+    distinct contexts, each dominance test made afresh by comparing the
+    contexts entry by entry, the margins recomputed for every action."""
+    game_module._require_cap(game, game_module.DEFAULT_CHECK_CAP)
+    eng = game._engine
+    separable = game.separable
+    describe = game_module._describe_key
+    contexts = pairs = 0
+
+    def report(kind, message, witness):
+        failure = game_module.CheckFinding(kind, message, witness)
+        return game_module.SubmodularityReport(False, failure, contexts, pairs)
+
+    def compare(small, big):
+        if separable:
+            return all(b >= s for b, s in zip(big, small))
+        return small <= big
+
+    def ordered(keys):
+        return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+
+    w0 = al.welfare_eval(game, al.empty_profile(game))
+    if abs(w0) > al.TOLERANCE:
+        return report("normalization", f"W(empty) = {w0!r}, expected 0", {"value": w0})
+    keys = ordered(eng.reachable(range(game.n)))
+    if len(keys) ** 2 > 4_000_000:
+        raise al.SizeCapError(f"{len(keys)} distinct selections give too many comparable pairs")
+    try:
+        values = {k: eng.value(k) for k in keys}
+        contexts += len(keys)
+        for ks in keys:
+            for kb in keys:
+                if ks == kb or not compare(ks, kb):
+                    continue
+                pairs += 1
+                if values[ks] > values[kb] + al.TOLERANCE:
+                    return report("monotonicity", "welfare decreases on a larger selection", {
+                        "smaller": describe(ks, separable),
+                        "larger": describe(kb, separable),
+                        "smaller_value": values[ks],
+                        "larger_value": values[kb],
+                    })
+        for i in range(game.n):
+            ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
+            contexts += len(ckeys)
+            base_vals = {k: eng.value(k) for k in ckeys}
+            for act in game.action_sets[i]:
+                if not act:
+                    continue
+                margins = {k: eng.value(eng.join(k, act)) - base_vals[k] for k in ckeys}
+                for ks in ckeys:
+                    for kb in ckeys:
+                        if ks == kb or not compare(ks, kb):
+                            continue
+                        pairs += 1
+                        if margins[ks] < margins[kb] - al.TOLERANCE:
+                            return report(
+                                "submodularity", "marginal value grows with a larger context", {
+                                    "agent": i,
+                                    "action": sorted(act),
+                                    "smaller_context": describe(ks, separable),
+                                    "larger_context": describe(kb, separable),
+                                    "margin_at_smaller": margins[ks],
+                                    "margin_at_larger": margins[kb],
+                                })
+    except al.ModelIncompleteError as exc:
+        return report("table-missing", str(exc), None)
+    return game_module.SubmodularityReport(True, None, contexts, pairs)
+
+
+GRID = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0)
+
+
+def random_actions(rng, n, m):
+    return tuple(
+        tuple(
+            frozenset(rng.sample(range(m), rng.randint(1, min(2, m))))
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(n)
+    )
+
+
+def random_separable_game(rng):
+    """Random separable game: each curve is concave with increments on a
+    coarse grid, or its increments grow by up to 0.9 * TOLERANCE per step,
+    which the constructor accepts but the welfare is then not submodular."""
+    n, m = rng.randint(1, 5), rng.randint(1, 3)
+    curves = []
+    for _ in range(m):
+        if rng.random() < 0.5:
+            increments = sorted((rng.choice(GRID) for _ in range(n)), reverse=True)
+        else:
+            increments = [rng.choice(GRID)]
+            for _ in range(n - 1):
+                increments.append(increments[-1] + rng.uniform(0.0, 0.9) * al.TOLERANCE)
+        curve = [0.0]
+        for inc in increments:
+            curve.append(curve[-1] + inc)
+        curves.append(tuple(curve))
+    return al.GameInstance(
+        welfare=al.SeparableWelfare(curves=tuple(curves)),
+        action_sets=random_actions(rng, n, m),
+        utilities=tuple(rng.choice(list(Utility)) for _ in range(n)),
+        compromise=tuple(rng.choice(list(Compromise)) for _ in range(n)),
+    )
+
+
+def random_tabulated_game(rng):
+    """Random tabulated game over every resource subset: coverage
+    (submodular), random values (mostly non-monotone) or a squared sum
+    (supermodular); some tables lose one nonempty entry."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    kind = rng.choice(("coverage", "random", "supermodular"))
+    cover = [frozenset(rng.sample(range(5), rng.randint(1, 3))) for _ in range(m)]
+    weights = [rng.choice(GRID) for _ in range(5)]
+    table = {}
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            if kind == "coverage":
+                covered = frozenset().union(*(cover[r] for r in subset))
+                value = sum(weights[e] for e in sorted(covered))
+            elif kind == "random":
+                value = rng.choice(GRID) * size
+            else:
+                value = sum(weights[r] for r in subset) ** 2
+            table[frozenset(subset)] = value
+    if m > 1 and rng.random() < 0.3:
+        del table[rng.choice([s for s in table if s])]
+    return al.GameInstance(
+        welfare=al.TabulatedWelfare.from_mapping(table, m),
+        action_sets=random_actions(rng, n, m),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=tuple(rng.choice(list(Compromise)) for _ in range(n)),
+    )
+
+
+def family_games():
+    for n in range(2, 7):
+        for k in range(n):
+            yield al.gen_mc_blind(n, k, 0.01)
+            yield al.gen_k_blind(n, k, 0.01, 0.01)
+            yield al.gen_k_blind(n, k, 0.01, 0.01, labels=[Compromise.ISOLATED] * k)
+
+
+def overflow_game():
+    """Curves near the largest float: sums overflow to inf, so margins are
+    inf and, where the base is inf too, NaN; for agent 0's action {0} the
+    first context above the empty one has a NaN margin and a later one an
+    infinite margin."""
+    big = 1.7e308
+    wide = (0.0, 0.6 * big, 0.9 * big, big)
+    narrow = (0.0, 0.3 * big, 0.5 * big, 0.6 * big)
+    return al.GameInstance(
+        welfare=al.SeparableWelfare(curves=(wide, narrow, wide)),
+        action_sets=(({0, 1}, {1, 2}, {0}), ({0, 1},), ({0, 2},)),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 3,
+        compromise=(Compromise.NORMAL,) * 3,
+    )
+
+
+def check_outcome(check, game):
+    try:
+        return check(game)
+    except (al.ModelIncompleteError, al.SizeCapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckSubmodularMatchesTheDirectScan:
+    def test_random_separable_games(self):
+        kinds = set()
+        for seed in range(300):
+            game = random_separable_game(random.Random(seed))
+            report = al.check_submodular(game)
+            assert report == direct_scan_submodular(game), seed
+            kinds.add(report.failure.kind if report.failure else "ok")
+        assert kinds == {"ok", "submodularity"}
+
+    def test_random_tabulated_games(self):
+        kinds = set()
+        for seed in range(300):
+            game = random_tabulated_game(random.Random(seed))
+            report = check_outcome(al.check_submodular, game)
+            assert report == check_outcome(direct_scan_submodular, game), seed
+            kinds.add(report.failure.kind if report.failure else "ok")
+        assert kinds == {"ok", "monotonicity", "submodularity", "table-missing"}
+
+    def test_families(self):
+        for game in family_games():
+            assert al.check_submodular(game) == direct_scan_submodular(game)
+
+    def test_overflowing_welfare(self):
+        game = overflow_game()
+        report = al.check_submodular(game)
+        assert report == direct_scan_submodular(game)
+        assert report.failure.witness["agent"] == 0
+        assert report.failure.witness["margin_at_larger"] == float("inf")
+
+    def test_increments_growing_within_the_constructor_slack(self):
+        # each increment exceeds the one before by 0.9e-9, under the
+        # constructor's 1e-9 slack, so the curve is accepted; over two steps
+        # the margin grows by 1.8e-9, which the scan must report
+        curve = [0.0]
+        for inc in (1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9):
+            curve.append(curve[-1] + inc)
+        game = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=(tuple(curve),)),
+            action_sets=(({0},),) * 3,
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 3,
+            compromise=(Compromise.NORMAL,) * 3,
+        )
+        report = al.check_submodular(game)
+        assert report == direct_scan_submodular(game)
+        assert report.failure.kind == "submodularity"
+        assert report.failure.witness == {
+            "agent": 0,
+            "action": [0],
+            "smaller_context": {"counts": [0]},
+            "larger_context": {"counts": [2]},
+            "margin_at_smaller": 1.0,
+            "margin_at_larger": 1.0000000018000001,
+        }
+        assert (report.contexts_checked, report.pairs_checked) == (7, 8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        generator=st.sampled_from((random_separable_game, random_tabulated_game)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, seed, generator):
+        game = generator(random.Random(seed))
+        assert check_outcome(al.check_submodular, game) == check_outcome(
+            direct_scan_submodular, game
+        )
 
 
 class TestCheckSubmodular:

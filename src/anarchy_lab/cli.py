@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -258,12 +259,7 @@ def _chains_ok(game: GameInstance, report: eq.PoAReport) -> Optional[bool]:
 
 
 def cmd_bounds(args) -> int:
-    spec = args.k if args.k is not None else args.sweep
-    if spec is None:
-        raise ValueError("one of --k or --sweep is required")
-    if spec.startswith("k="):
-        spec = spec[2:]
-    ks = _parse_k_range(spec)
+    ks = _parse_k_range(args.k)
     forced = _parse_labels(args.labels, max(ks)) if args.labels else None
     rows = []
     docs = []
@@ -387,7 +383,6 @@ def cmd_lll(args) -> int:
         seed=args.seed,
         a0=a0,
         burn_in=args.burn_in,
-        workers=args.workers,
     )
     if args.out:
         _write_text(args.out, result.to_csv())
@@ -403,6 +398,7 @@ def cmd_lll(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anarchy-lab",
@@ -454,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", required=True, choices=("k_blind", "mc_blind", "mc_noblind", "sim"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", help="single value or range lo..hi")
-    p.add_argument("--sweep", help="alias for --k, accepts k=lo..hi")
+    p.add_argument("--k", required=True, help="single value or range lo..hi")
     p.add_argument("--labels", help="force one label mix (e.g. 'disabled')")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
@@ -477,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=0)
     p.add_argument("--init", choices=("empty", "worst-ne"), default="empty")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)
     p.add_argument("--out", help="write the CSV here")
     p.set_defaults(func=cmd_lll)

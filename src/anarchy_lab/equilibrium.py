@@ -231,47 +231,6 @@ def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
     return best, eng.profile(idxs)
 
 
-def _best_profile(eng: _Engine, choices):
-    """(value, indices) of the lexicographically first profile maximizing
-    the welfare of ``eng.profile(indices)`` when agent i plays one of the action indices
-    ``choices[i]`` (in increasing order) — bit for bit what a scan of every
-    profile keeping the first strictly better one returns."""
-    if eng.separable:
-        return _best_separable(eng, choices)
-    return _best_tabulated(eng, choices)
-
-
-def _best_tabulated(eng: _Engine, choices):
-    # Over (agent, base set so far). Table values are taken, never added,
-    # so the maxima are exact and the first child reaching its parent's
-    # value lies on the first maximizer. Each layer lists its base sets in
-    # the order of the first prefix reaching them, so the first missing
-    # entry raised is the one a scan would meet first.
-    layers = [{EMPTY_ACTION: None}]
-    for i, cand in enumerate(choices):
-        acts = eng.actions[i]
-        layers.append(dict.fromkeys(base | acts[j] for base in layers[-1] for j in cand))
-    value = {base: eng.value(base) for base in layers[-1]}
-    values = [value]
-    for i in reversed(range(eng.n)):
-        acts = eng.actions[i]
-        value = {
-            base: max(value[base | acts[j]] for j in choices[i]) for base in layers[i]
-        }
-        values.append(value)
-    values.reverse()
-    base = EMPTY_ACTION
-    idxs = []
-    for i, cand in enumerate(choices):
-        for j in cand:
-            child = base | eng.actions[i][j]
-            if values[i + 1][child] == values[i][base]:
-                break
-        idxs.append(j)
-        base = child
-    return values[0][EMPTY_ACTION], tuple(idxs)
-
-
 def _flat_from(curve) -> int:
     """The first count from which a curve keeps the same float value."""
     t = len(curve) - 1
@@ -280,21 +239,35 @@ def _flat_from(curve) -> int:
     return t
 
 
-def _best_separable(eng: _Engine, choices):
+def _best_profile(eng: _Engine, choices):
+    """(value, indices) of the lexicographically first profile maximizing
+    the welfare of ``eng.profile(indices)`` when agent i plays one of the action indices
+    ``choices[i]`` (in increasing order) — bit for bit what a scan of every
+    profile keeping the first strictly better one returns."""
     # A resource is settled once the last agent able to select it has
     # moved; its value is then folded in. Counts are clipped where a curve
-    # turns float-constant, which changes no welfare value.
+    # turns float-constant, which changes no welfare value. A table reads
+    # only which resources are selected, so there every count clips at 1,
+    # no resource settles early, and the last agent's move folds in the
+    # entry of the base set it completes; the states of that layer are
+    # listed in the order of the first prefix reaching them, so the first
+    # missing entry raised is the one a scan would meet first.
     n, m = eng.n, eng.m
-    curves, act_res = eng.curves, eng.act_res
-    flat = [_flat_from(c) for c in curves]
-    last = {}
-    for i, cand in enumerate(choices):
-        for j in cand:
-            for r in act_res[i][j]:
-                last[r] = i
+    act_res = eng.act_res
     settles = [[] for _ in range(n)]
-    for r in sorted(last):
-        settles[last[r]].append(r)
+    if eng.separable:
+        curves = eng.curves
+        flat = [_flat_from(c) for c in curves]
+        last = {}
+        for i, cand in enumerate(choices):
+            for j in cand:
+                for r in act_res[i][j]:
+                    last[r] = i
+        for r in sorted(last):
+            settles[last[r]].append(r)
+    else:
+        flat = [1] * m
+    table_at = None if eng.separable else n - 1
 
     # moves[i][state]: (action, settled value, next state) per choice of
     # agent i, for every reachable state (clipped counts, settled ones 0)
@@ -314,6 +287,9 @@ def _best_separable(eng: _Engine, choices):
                 for r in settles[i]:
                     gain += curves[r][counts[r]]
                     counts[r] = 0
+                if i == table_at:
+                    gain = eng.value(frozenset(itertools.compress(range(m), counts)))
+                    counts = zero
                 row.append((j, gain, tuple(counts)))
             layer[state] = row
         moves.append(layer)

@@ -5,8 +5,8 @@ One uniformly chosen non-disabled agent updates per step, resampling its
 action from a softmax (at temperature T) of its effective utility with all
 other actions held fixed. Runs are reproducible: a run is a pure function of
 (game, temperature, steps, seed, start profile), and sweep trials derive
-their sub-seeds from the master seed by a fixed splitting scheme, so results
-do not depend on worker count or execution order.
+their sub-seeds from the master seed by a fixed splitting scheme, so a trial's
+row does not depend on the other trials.
 
 ``lll_run`` keeps, for the length of one call, a cache of the sampling
 distributions it has built, keyed by what the softmax depends on: the agent
@@ -22,10 +22,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 from .game import (
@@ -50,7 +48,6 @@ __all__ = [
     "sub_seed",
 ]
 
-THREADS_ENV = "ANARCHY_LAB_THREADS"
 # entries kept by one run's cache of sampling distributions before it is
 # emptied; a refill draws the same numbers, so this bounds memory only
 _CACHE_LIMIT = 1 << 16
@@ -111,18 +108,6 @@ class SweepRow:
     seed: int
 
 
-CSV_COLUMNS = (
-    "temperature",
-    "trial",
-    "mean_welfare",
-    "std_welfare",
-    "min_welfare",
-    "max_welfare",
-    "steps",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
@@ -141,22 +126,10 @@ class SweepResult:
         return tuple(seen)
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(r.temperature),
-                        str(r.trial),
-                        repr(r.mean_welfare),
-                        repr(r.std_welfare),
-                        repr(r.min_welfare),
-                        repr(r.max_welfare),
-                        str(r.steps),
-                        str(r.seed),
-                    ]
-                )
-            )
+        """One line per row, the fields of :class:`SweepRow` in order; every
+        field is a float or an int, so ``repr`` writes it exactly."""
+        lines = [",".join(f.name for f in fields(SweepRow))]
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -303,7 +276,13 @@ def lll_run(
 
 class _Runner:
     """A trajectory's state: each agent's action index and the selection
-    counts of all agents and of the visible ones, kept incrementally."""
+    counts of all agents and of the visible ones, kept incrementally.
+
+    ``touched[i]`` lists the resources whose visible counts agent i's
+    sampling distribution depends on, None if i sees nobody: those its
+    actions touch for separable welfare, every resource for tabulated
+    welfare, which depends on the whole base set.
+    """
 
     def __init__(self, eng: _Engine, a0: JointAction):
         self.eng = eng
@@ -314,6 +293,27 @@ class _Runner:
             for r in act:
                 self.counts[r] += 1
                 self.vis[r] += eng.visible[i]
+        everything = tuple(range(eng.m))
+        self.touched = [
+            None if not eng.sees[i]
+            else tuple(sorted(set().union(*res))) if eng.separable
+            else everything
+            for i, res in enumerate(eng.act_res)
+        ]
+
+    def key(self, i: int):
+        """What agent i's sampling distribution depends on besides T: the
+        agent alone if it sees nobody, else its action and the visible
+        counts of ``touched[i]``."""
+        touched = self.touched[i]
+        if touched is None:
+            return i
+        vis = self.vis
+        return (i, self.idxs[i], tuple([vis[r] for r in touched]))
+
+    def utilities(self, i: int):
+        eng = self.eng
+        return eng.utilities(i, eng.context(self.profile(), eng.sees[i]))
 
     def _move(self, i: int, old: int, j: int) -> None:
         """Record agent i's switch from action ``old`` to ``j`` in the
@@ -337,27 +337,6 @@ class _SeparableRunner(_Runner):
     def __init__(self, eng: _Engine, a0: JointAction):
         super().__init__(eng, a0)
         self.welfare = eng.value(self.counts)
-        # the resources agent i's actions touch, None if i sees nobody
-        self.touched = [
-            tuple(sorted(set().union(*res))) if eng.sees[i] else None
-            for i, res in enumerate(eng.act_res)
-        ]
-
-    def key(self, i: int):
-        """What agent i's sampling distribution depends on besides T: the
-        agent alone if it sees nobody, else its action and the visible
-        counts of the resources its actions touch."""
-        touched = self.touched[i]
-        if touched is None:
-            return i
-        vis = self.vis
-        return (i, self.idxs[i], tuple([vis[r] for r in touched]))
-
-    def utilities(self, i: int):
-        eng = self.eng
-        if not eng.sees[i]:
-            return eng.utilities(i, eng.empty)
-        return eng.utilities(i, self.vis, eng.actions[i][self.idxs[i]])
 
     def apply(self, i: int, j: int) -> float:
         eng = self.eng
@@ -384,17 +363,6 @@ class _GenericRunner(_Runner):
     def __init__(self, eng: _Engine, a0: JointAction):
         super().__init__(eng, a0)
         self.welfare = None  # read on the first step: a0's base set may lack an entry
-
-    def key(self, i: int):
-        """The agent alone if it sees nobody, else its action and every
-        visible count: tabulated welfare depends on the whole base set."""
-        if not self.eng.sees[i]:
-            return i
-        return (i, self.idxs[i], tuple(self.vis))
-
-    def utilities(self, i: int):
-        eng = self.eng
-        return eng.utilities(i, eng.context(self.profile(), eng.sees[i]))
 
     def apply(self, i: int, j: int) -> float:
         eng = self.eng
@@ -432,18 +400,6 @@ def sub_seed(master: int, temp_index: int, trial_index: int) -> int:
     ) % 2**63
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def temperature_sweep(
     game: GameInstance,
     temperatures: Sequence,
@@ -452,12 +408,10 @@ def temperature_sweep(
     seed: int,
     a0: Optional[JointAction] = None,
     burn_in: int = 0,
-    workers: Optional[int] = None,
 ) -> SweepResult:
-    """Run ``trials`` trajectories per temperature and collect per-trial rows.
-
-    Rows are ordered by (temperature index, trial) regardless of how many
-    worker threads execute them, so equal inputs give byte-identical CSVs.
+    """Run ``trials`` trajectories per temperature and collect per-trial rows,
+    ordered by (temperature index, trial); each trial runs from its own
+    :func:`sub_seed`, so equal inputs give byte-identical CSVs.
     """
     temps = [float(t) for t in temperatures]
     if not temps:
@@ -466,23 +420,12 @@ def temperature_sweep(
         _check_temperature(t)
     if trials < 1:
         raise ValueError("need at least one trial")
-    jobs = [
-        (ti, tr, temps[ti], sub_seed(seed, ti, tr))
-        for ti in range(len(temps))
+    rows = tuple(
+        lll_run(game, T, steps, sub_seed(seed, ti, tr), a0=a0, burn_in=burn_in).row(tr)
+        for ti, T in enumerate(temps)
         for tr in range(trials)
-    ]
-
-    def run(job):
-        ti, tr, T, s = job
-        return lll_run(game, T, steps, s, a0=a0, burn_in=burn_in).row(tr)
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
-    return SweepResult(rows=tuple(rows))
+    )
+    return SweepResult(rows=rows)
 
 
 def random_play_baseline(game: GameInstance, steps: int, seed: int) -> float:

@@ -245,6 +245,12 @@ class TestAnalysis:
         assert out == ""
         assert "empty k range" in err
 
+    def test_bounds_without_k_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--family", "mc_blind", "--n", "5"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
     def test_bounds_hub_family_all_rows_satisfied(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--family", "k_blind", "--n", "6", "--k", "0..4",
@@ -364,6 +370,14 @@ class TestLll:
         assert code == 2
         assert err.startswith("error: temperature")
         assert out == ""
+
+    def test_workers_option_is_gone(self, tmp_path, capsys):
+        inst = tmp_path / "sim.json"
+        inst.write_text(al.serialize(al.gen_sim_game(5, 4, 0.05)))
+        with pytest.raises(SystemExit) as exc:
+            main(["lll", "--instance", str(inst), "--temps", "0.1", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_all_disabled_game_exits_two(self, tmp_path, capsys):
         inst = tmp_path / "off.json"

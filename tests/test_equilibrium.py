@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility, UtilityClass
+from anarchy_lab.equilibrium import _best_profile
 
 
 def playable_profiles(game):
@@ -73,6 +74,76 @@ def coverage_game(seed, n, labels=()):
         action_sets=action_sets,
         utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
         compromise=tuple(labels) + (Compromise.NORMAL,) * (n - len(labels)),
+    )
+
+
+def direct_scan_choices(game, choices):
+    """Independent oracle for the restricted optimum: every profile with
+    agent i on one of the action indices ``choices[i]``, in lexicographic
+    order, keeping the first one whose welfare is strictly greater."""
+    best, best_idxs = -math.inf, None
+    for idxs in itertools.product(*choices):
+        a = tuple(game.action_sets[i][j] for i, j in enumerate(idxs))
+        w = al.welfare_eval(game, a)
+        if w > best:
+            best, best_idxs = w, idxs
+    return best, best_idxs
+
+
+def outcome(f, *args):
+    """f's result, or the message of the ModelIncompleteError it raised."""
+    try:
+        return f(*args)
+    except al.ModelIncompleteError as exc:
+        return "missing", str(exc)
+
+
+def holed_table_game(seed, n, labels=()):
+    """Tabulated welfare with random, often tied values on the nonempty
+    resource subsets, about 5% of them missing; random action sets."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    values = (0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 1.0) if seed % 2 else None
+    table = {frozenset(): 0.0}
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            if rng.random() >= 0.05:
+                table[frozenset(subset)] = (
+                    rng.choice(values) if values else round(rng.uniform(0.0, 2.0), 3)
+                )
+    action_sets = tuple(
+        tuple(
+            frozenset(rng.sample(range(m), rng.randint(1, min(m, 2))))
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(n)
+    )
+    return al.GameInstance(
+        welfare=al.TabulatedWelfare.from_mapping(table, m),
+        action_sets=action_sets,
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=tuple(labels) + (Compromise.NORMAL,) * (n - len(labels)),
+    )
+
+
+@st.composite
+def small_tabulated_games(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    grid = st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 1.0))
+    table = {frozenset(): 0.0}
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            value = draw(st.one_of(st.none(), grid))  # None: a missing entry
+            if value is not None:
+                table[frozenset(subset)] = value
+    subsets = st.frozensets(st.integers(0, m - 1), max_size=m)
+    action_sets = tuple(draw(st.lists(subsets, min_size=1, max_size=3)) for _ in range(n))
+    return al.GameInstance(
+        welfare=al.TabulatedWelfare.from_mapping(table, m),
+        action_sets=action_sets,
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=(Compromise.NORMAL,) * n,
     )
 
 
@@ -323,6 +394,28 @@ class TestOptimalWelfare:
     @settings(max_examples=200, deadline=None)
     def test_matches_direct_scan_property(self, game):
         assert al.optimal_welfare(game) == direct_scan_opt(game)
+
+    @given(small_tabulated_games())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_scan_on_tables_property(self, game):
+        assert outcome(al.optimal_welfare, game) == outcome(direct_scan_opt, game)
+
+    def test_restricted_search_matches_a_scan_on_holed_tables(self):
+        labels = list(Compromise)
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = 1 + seed % 4
+            game = holed_table_game(seed, n, [rng.choice(labels) for _ in range(n)])
+            eng = game._engine
+            full = [range(len(acts)) for acts in game.action_sets]
+            restricted = [
+                sorted(rng.sample(range(len(acts)), rng.randint(1, len(acts))))
+                for acts in game.action_sets
+            ]
+            for choices in (full, restricted):
+                assert outcome(_best_profile, eng, choices) == outcome(
+                    direct_scan_choices, game, choices
+                ), seed
 
     def test_scales_past_the_reach_of_a_scan(self):
         n, k, eps, delta = 40, 20, 0.01, 0.005

@@ -183,12 +183,6 @@ class TestSweep:
         b = al.temperature_sweep(g, [0.001, 0.1, 1.0], steps=800, trials=3, seed=21)
         assert a.to_csv() == b.to_csv()
 
-    def test_worker_count_does_not_change_results(self):
-        g = al.gen_sim_game(5, 4, 0.05)
-        seq = al.temperature_sweep(g, [0.01, 1.0], steps=600, trials=4, seed=2, workers=1)
-        par = al.temperature_sweep(g, [0.01, 1.0], steps=600, trials=4, seed=2, workers=4)
-        assert seq.to_csv() == par.to_csv()
-
     def test_csv_shape(self):
         g = al.gen_sim_game(5, 4, 0.05)
         res = al.temperature_sweep(g, [0.01, 1.0], steps=300, trials=2, seed=0)

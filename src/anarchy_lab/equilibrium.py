@@ -5,12 +5,17 @@ certificates, and randomized worst-case instance search.
 Everything here is exact and deterministic. Enumeration exploits the
 compromise structure: a blind or isolated agent's best-response set does not
 depend on the rest of the profile, so its candidates are computed once and
-only the remaining agents are enumerated. Welfare optima come from a dynamic
-program over agents that returns what a scan of every profile would. The
-fast paths evaluate welfare, observed contexts and candidate utilities
-through the game's evaluation kernel (``game._Engine``); the profile-level
-``best_response_set`` and ``is_pne`` evaluate the model's definitions
-directly and are the reference the tests hold the kernel to.
+only the remaining agents are enumerated. It is a depth-first search in the
+order of a scan of every profile; for separable welfare, bounds on each
+normal agent's utilities over the profiles below a node cut subtrees where
+an agent must fail its test and skip the test where it must pass, and the
+profiles reached run the scan's own test, so the result is the scan's.
+Welfare optima come from a dynamic program over agents that returns what a
+scan of every profile would. The fast paths evaluate welfare, observed
+contexts and candidate utilities through the game's evaluation kernel
+(``game._Engine``); the profile-level ``best_response_set`` and ``is_pne``
+evaluate the model's definitions directly and are the reference the tests
+hold the kernel to.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -72,10 +77,16 @@ class UtilityClass(Enum):
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """All pure Nash equilibria, in lexicographic enumeration order."""
+    """All pure Nash equilibria, in lexicographic enumeration order.
+
+    ``nodes`` counts the partial profiles the search assigned (complete
+    ones included) and ``pruned`` those it cut; neither takes part in
+    comparison."""
 
     profiles: tuple
     welfares: tuple
+    nodes: int = field(default=0, compare=False)
+    pruned: int = field(default=0, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -137,6 +148,12 @@ def _argmax_indices(values, tol: float = TOLERANCE):
     return [j for j, v in enumerate(values) if v >= best - tol]
 
 
+def _best_responds(utilities, j: int) -> bool:
+    """The equilibrium test: action j's utility is within the tolerance of
+    the best."""
+    return not utilities[j] < max(utilities) - TOLERANCE
+
+
 # ---------------------------------------------------------------------------
 # best responses and equilibria
 
@@ -169,13 +186,24 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
 
     Deterministic lexicographic order (agent index, then action index).
     Blind and isolated agents are fixed to their profile-independent
-    best-response candidates; disabled agents to the empty action; only
-    normal agents' conditions are re-checked per candidate profile.
+    best-response candidates; disabled agents to the empty action. The
+    profiles are searched depth first, agents in index order and each
+    agent's candidates in index order, which is the order of a scan of
+    every profile. For separable welfare a subtree is cut as soon as an
+    assigned normal agent is sure to fail its best-response test at every
+    profile below it, and an agent sure to pass it everywhere below is not
+    tested again (see :class:`_TermBounds`); tabulated welfare, which need
+    not be submodular, is searched without either, and runs each agent's
+    test once per action and observed base set. Every profile reached
+    runs the scan's exact test for the normal agents still undecided, with
+    the same floats, so the result equals the scan's. Games whose joint
+    action space exceeds ``cap`` are refused with SizeCapError.
     """
     size = joint_space_size(game)
     if size > cap:
         raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
     eng = game._engine
+    n = eng.n
 
     candidates = []
     for i, lab in enumerate(game.compromise):
@@ -187,26 +215,202 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
             # a blind or isolated agent's observed context is always empty
             candidates.append(_argmax_indices(eng.utilities(i, eng.empty)))
 
+    normal = game.agents_with(Compromise.NORMAL)
+    separable = eng.separable
+    bounds = _TermBounds(eng, candidates, normal) if separable and normal else None
+    act_res, visible = eng.act_res, eng.visible
+    vis = [0] * eng.m  # selection counts of the visible agents assigned so far
+    full = [0] * eng.m  # ... and of every agent assigned so far
+    acts = [EMPTY_ACTION] * n
+    idxs = [0] * n
+    pos = [-1] * n  # position of agent d's current action in its candidates
+    # undecided[d]: the normal agents before d whose test the node above
+    # agent d left open
+    undecided = [()] * n
+    passes = {}  # tabulated welfare: (agent, action, observed base set) -> test
     profiles = []
     welfares = []
-    normal = game.agents_with(Compromise.NORMAL)
-    visible = [j for j in range(eng.n) if eng.visible[j]]
-    profiles_of = itertools.product(*(
-        [acts[j] for j in cand] for acts, cand in zip(eng.actions, candidates)
-    ))
-    for idxs, a in zip(itertools.product(*candidates), profiles_of):
-        vis = eng.context(a, visible) if eng.separable else None
-        for i in normal:
-            if vis is None:
-                utilities = eng.utilities(i, eng.context(a, eng.sees[i]))
+    nodes = pruned = 0
+    d = 0
+    while d >= 0:
+        p = pos[d]
+        if p >= 0 and separable:  # take agent d's previous action back
+            for r in act_res[d][idxs[d]]:
+                full[r] -= 1
+                if visible[d]:
+                    vis[r] -= 1
+        p += 1
+        if p == len(candidates[d]):
+            pos[d] = -1
+            d -= 1
+            continue
+        pos[d] = p
+        j = idxs[d] = candidates[d][p]
+        acts[d] = eng.actions[d][j]
+        if separable:
+            for r in act_res[d][j]:
+                full[r] += 1
+                if visible[d]:
+                    vis[r] += 1
+        nodes += 1
+        still = normal
+        if bounds is not None:
+            still = bounds.open_after(d, undecided[d], idxs, vis)
+            if still is None:
+                pruned += 1
+                continue
+        if d + 1 < n:
+            undecided[d + 1] = still
+            d += 1
+            continue
+        a = tuple(acts)
+        for i in still:
+            if separable:
+                ok = _best_responds(eng.utilities(i, vis, a[i]), idxs[i])
             else:
-                utilities = eng.utilities(i, vis, a[i])
-            if utilities[idxs[i]] < max(utilities) - TOLERANCE:
+                # a table's test reads the agent's action and observed base
+                # set only, so each is run once: at most one entry per
+                # agent, action and table entry is kept
+                key = (i, idxs[i], eng.context(a, eng.sees[i]))
+                ok = passes.get(key)
+                if ok is None:
+                    ok = passes[key] = _best_responds(eng.utilities(i, key[2]), idxs[i])
+            if not ok:
                 break
         else:
             profiles.append(a)
-            welfares.append(eng.value(eng.context(a)))
-    return EquilibriumSet(profiles=tuple(profiles), welfares=tuple(welfares))
+            welfares.append(eng.value(full if separable else eng.context(a)))
+    return EquilibriumSet(
+        profiles=tuple(profiles), welfares=tuple(welfares), nodes=nodes, pruned=pruned
+    )
+
+
+class _TermBounds:
+    """Bounds on a normal agent's utilities over every completion of a
+    partial profile, for separable welfare.
+
+    Once the first D agents are assigned, the rest add to each resource r
+    at most ``rem[D][r]`` selections: one per visible agent with a
+    candidate touching r. A
+    normal agent's utility for an action is a sum, in the order of the
+    action's resource ids and starting from 0.0, of one float term per
+    resource, read off the curve at the number of other visible agents
+    selecting it: f(c+1) - f(c) for marginal contribution, f(c+1)/(c+1)
+    for equal share. Below a node that number lies between the count so
+    far, c, and c + rem[D][r], so the term lies between the smallest and
+    the largest float term over that window, which the tables hold. Float
+    addition is monotone in each operand, so summing the window minima
+    (maxima) in the same order gives a float no larger (no smaller) than
+    the utility the exact test computes at any profile below.
+
+    On concave curves the terms fall as counts grow, so the extremes sit
+    at the window's ends: the bounds are the utility at the counts so far
+    and at the counts so far plus ``rem``. Read at the ends alone, they
+    would need a margin. The constructor lets an increment exceed the one
+    before it by up to TOLERANCE, so a marginal-contribution utility can
+    rise by Σ_r rem_r·TOLERANCE over the window (an equal share, an
+    average of increments, by at most half that), and each evaluation
+    rounds. Taking the extremes over the very floats the test adds covers
+    both exactly, so no margin is added.
+
+    An agent on action x then fails at every profile below when its
+    largest utility for x is below the smallest for some other action less
+    TOLERANCE, and passes at every profile below when its smallest utility
+    for x is at least the largest for every other action less TOLERANCE,
+    since fl(v - TOLERANCE) is monotone in v and at most v.
+    """
+
+    def __init__(self, eng: _Engine, candidates, normal):
+        n, m = eng.n, eng.m
+        self.act_res = eng.act_res
+        touched = [
+            {r for j in cand for r in eng.act_res[i][j]} if eng.visible[i] else ()
+            for i, cand in enumerate(candidates)
+        ]
+        reach = [{r for res in eng.act_res[i] for r in res} for i in range(n)]
+        # watch[d]: the earlier normal agents whose bounds agent d can move
+        self.watch = [
+            {i for i in normal if i < d and not reach[i].isdisjoint(touched[d])}
+            for d in range(n)
+        ]
+        self.normal = set(normal)
+        rem = [[0] * m]
+        for d in reversed(range(n)):
+            row = list(rem[-1])
+            for r in touched[d]:
+                row[r] += 1
+            rem.append(row)
+        rem.reverse()
+        used = sorted(set().union(*(reach[i] for i in normal)))
+        curves = eng.curves
+        # lo[i][D][r][c], hi[i][D][r][c]: extremes of agent i's term for
+        # resource r over the counts c .. c + rem[D][r]
+        self.lo, self.hi = [None] * n, [None] * n
+        tables = {}
+        for i in normal:
+            mc = eng.is_mc[i]
+            if mc not in tables:
+                lo_d, hi_d = [[None] * m for _ in rem], [[None] * m for _ in rem]
+                for r in used:
+                    f = curves[r]
+                    if mc:
+                        terms = [f[c + 1] - f[c] for c in range(n)]
+                    else:
+                        terms = [f[c + 1] / (c + 1) for c in range(n)]
+                    lows, highs = [terms], [terms]
+                    for _ in range(rem[0][r]):
+                        lows.append(list(map(min, lows[-1], lows[-1][1:])))
+                        highs.append(list(map(max, highs[-1], highs[-1][1:])))
+                    for D, row in enumerate(rem):
+                        lo_d[D][r], hi_d[D][r] = lows[row[r]], highs[row[r]]
+                tables[mc] = lo_d, hi_d
+            self.lo[i], self.hi[i] = tables[mc]
+
+    def open_after(self, d: int, undecided, idxs, vis):
+        """The normal agents up to d left undecided once agent d plays
+        action ``idxs[d]``, or None if one of them fails below this node."""
+        still = []
+        watch = self.watch[d]
+        for i in (d, *undecided) if d in self.normal else undecided:
+            if i == d or i in watch:
+                verdict = self._verdict(i, idxs[i], d + 1, vis)
+                if verdict < 0:
+                    return None
+                if verdict > 0:
+                    continue
+            still.append(i)
+        return still
+
+    def _verdict(self, i: int, x: int, depth: int, vis) -> int:
+        """-1 if agent i on action x fails its test at every profile below,
+        1 if it passes at every one, else 0; ``vis`` counts i itself."""
+        lo, hi = self.lo[i][depth], self.hi[i][depth]
+        res_of = self.act_res[i]
+        own = res_of[x]
+        for r in own:
+            vis[r] -= 1
+        x_lo = x_hi = 0.0
+        for r in own:
+            c = vis[r]
+            x_lo += lo[r][c]
+            x_hi += hi[r][c]
+        verdict = 1
+        for y, res in enumerate(res_of):
+            if y == x:
+                continue
+            y_lo = y_hi = 0.0
+            for r in res:
+                c = vis[r]
+                y_lo += lo[r][c]
+                y_hi += hi[r][c]
+            if x_hi < y_lo - TOLERANCE:
+                verdict = -1
+                break
+            if x_lo < y_hi - TOLERANCE:
+                verdict = 0
+        for r in own:
+            vis[r] += 1
+        return verdict
 
 
 def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
@@ -757,7 +961,7 @@ def worst_case_search(config: SearchConfig):
             continue
         if report.ratio is None:
             continue
-        if best is None or report.ratio < best[1].ratio - 0.0:
+        if best is None or report.ratio < best[1].ratio:
             best = (game, report)
     if best is None:
         raise ValueError(

@@ -273,6 +273,91 @@ class TestEnumerate:
             eqs = al.enumerate_pne(game)
             assert list(eqs.profiles) == direct_scan_pne(game), seed
 
+    def test_tables_are_searched_without_cuts(self):
+        B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
+        for seed in range(30):
+            labels = [(), (D,), (B, D), (D, I, B), (I, I)][seed % 5]
+            game = coverage_game(100 + seed, len(labels) + 1 + seed % 3, labels)
+            eqs = al.enumerate_pne(game)
+            assert list(eqs.profiles) == direct_scan_pne(game), seed
+            assert list(eqs.welfares) == [al.welfare_eval(game, a) for a in eqs.profiles]
+            assert eqs.pruned == 0  # a table need not be submodular
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        labels=st.lists(st.sampled_from(
+            (Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED)
+        ), max_size=5),
+        utilities=st.sampled_from((
+            (Utility.MARGINAL_CONTRIBUTION,),
+            (Utility.EQUAL_SHARE,),
+            (Utility.MARGINAL_CONTRIBUTION, Utility.EQUAL_SHARE),
+        )),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_scan_property(self, seed, n, labels, utilities):
+        labels = labels[:n]
+        game = al.gen_random_separable(
+            n=n, max_resources=1 + seed % 3, max_actions=2 + seed % 2, k=len(labels),
+            labels=labels, seed=seed, utility_choices=utilities,
+        )
+        eqs = al.enumerate_pne(game)
+        assert list(eqs.profiles) == direct_scan_pne(game)
+        assert list(eqs.welfares) == [al.welfare_eval(game, a) for a in eqs.profiles]
+
+    def test_matches_direct_scan_on_families_n8_to_10(self):
+        for n in (8, 9, 10):
+            for k in (0, 1, 3):
+                labels = label_mixes(k)[2]
+                games = [hub(n, k, 0.01, 0.01, labels), al.gen_mc_blind(n, k, 0.01, labels)]
+                if k:
+                    games.append(al.gen_mc_noblind(n, k, 0.01))
+                for game in games:
+                    eqs = al.enumerate_pne(game)
+                    assert list(eqs.profiles) == direct_scan_pne(game), (n, k)
+
+    def test_increments_growing_by_the_constructor_slack(self):
+        # resource 0's increments grow by TOLERANCE per step, which the
+        # constructor accepts; each agent's private resource is worth a
+        # little more than the first increment, so an agent on resource 0
+        # best-responds only once enough others join it. A bound that takes
+        # payoffs as falling with every join would cut the all-on-0 profile
+        # at its first node.
+        n, tol = 5, al.TOLERANCE
+        curve = [0.0]
+        for c in range(n):
+            curve.append(curve[-1] + (1.0 + c * tol))
+        private = (0.0,) + (1.0 + 2.5 * tol,) * n
+        for utility in Utility:
+            game = al.GameInstance(
+                welfare=al.SeparableWelfare(curves=(tuple(curve),) + (private,) * n),
+                action_sets=tuple(({0}, {i + 1}) for i in range(n)),
+                utilities=(utility,) * n,
+                compromise=(Compromise.NORMAL,) * n,
+            )
+            eqs = al.enumerate_pne(game)
+            assert list(eqs.profiles) == direct_scan_pne(game), utility
+            assert (frozenset({0}),) * n in eqs.profiles
+
+    def test_search_counters_take_no_part_in_comparison(self):
+        game = al.gen_mc_blind(6, 2, 0.01)
+        eqs = al.enumerate_pne(game)
+        assert eqs.nodes > 0
+        twin = al.EquilibriumSet(eqs.profiles, eqs.welfares, nodes=0, pruned=1)
+        assert twin == eqs
+
+    def test_scales_past_the_reach_of_a_scan(self):
+        # 3^29 * 2 profiles. Each agent's candidates are tried in turn and
+        # every one but the hub is cut at once, so the search assigns
+        # 3(n-1) + 2 partial profiles
+        n = 30
+        game = hub(n, 0, 0.01, 0.01)
+        eqs = al.enumerate_pne(game, cap=al.joint_space_size(game))
+        assert eqs.profiles == ((frozenset({0}),) * n,)
+        assert eqs.worst()[0] == 1.0
+        assert eqs.nodes < 3 * n
+
     def test_size_cap(self):
         with pytest.raises(al.SizeCapError):
             al.enumerate_pne(hub(8, 2, 0.01, 0.01), cap=100)

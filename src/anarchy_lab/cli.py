@@ -113,6 +113,9 @@ def _parse_temps(spec: str):
             mode = "lin"
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
+        for name, value in (("start", start), ("stop", stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"temperature grid {spec!r} has a non-finite {name} {value!r}")
         if count < 1:
             raise ValueError(f"temperature grid {spec!r} needs a count of at least 1")
         if count == 1:
@@ -123,7 +126,10 @@ def _parse_temps(spec: str):
             la, lb = math.log(start), math.log(stop)
             return [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
         return [start + (stop - start) * i / (count - 1) for i in range(count)]
-    return [float(t) for t in spec.split(",") if t]
+    items = spec.split(",")
+    if not all(items):
+        raise ValueError(f"temperature list {spec!r} has an empty item")
+    return [float(t) for t in items]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,23 @@ other actions held fixed. Runs are reproducible: a run is a pure function of
 their sub-seeds from the master seed by a fixed splitting scheme, so a trial's
 row does not depend on the other trials.
 
-``lll_run`` keeps, for the length of one call, a cache of the sampling
-distributions it has built, keyed by what the softmax depends on: the agent
-alone if it sees nobody (blind and isolated agents), else the agent, its
-current action and the visible counts it observes (only those of the
-resources its actions touch, for separable welfare). An entry holds the
-running sums ``_sample_index`` would form, so each draw, the random stream
-and the output bytes are those of iterating :func:`lll_step`.
+``lll_run`` is one loop over local state that reproduces iterating
+:func:`lll_step` draw for draw:
+
+- the agent is drawn by rejection from ``getrandbits``, which is how
+  CPython's ``Random.randrange`` draws it, so the random stream is the same;
+- its sampling distribution is built on first use and kept for the call:
+  one per agent for an agent that sees nobody (blind and isolated agents),
+  else one per agent, current action and visible counts it observes (only
+  those of the resources its actions touch, for separable welfare). A
+  distribution holds the running sums ``_sample_index`` would form, so every
+  draw is the same;
+- the welfare is updated in place when the agent switches: separable
+  welfare by the changes of the curves at the old action's resources, then
+  the new action's, tabulated welfare by a table read whenever a count
+  crosses zero.
+
+:func:`random_play_baseline` runs the same loop with a uniform action draw.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .game import (
     Compromise,
     GameInstance,
     JointAction,
-    _Engine,
     empty_profile,
     validate_joint_action,
 )
@@ -134,7 +143,7 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# shared arithmetic (the reference step and the fast runner must agree
+# shared arithmetic (the reference step and the trajectory loop must agree
 # bit-for-bit, so both take utilities from the game's evaluation kernel and
 # sample through these helpers)
 
@@ -198,7 +207,7 @@ def lll_step(game: GameInstance, state: LearningState, T: float) -> LearningStat
 
 
 # ---------------------------------------------------------------------------
-# trajectory runner
+# trajectory loop
 
 
 def lll_run(
@@ -218,6 +227,20 @@ def lll_run(
     when kept, covers all steps.
     """
     _check_temperature(T)
+    return _play(game, T, steps, seed, a0, burn_in, keep_trace)
+
+
+def _play(
+    game: GameInstance,
+    T: Optional[float],
+    steps: int,
+    seed: int,
+    a0: Optional[JointAction],
+    burn_in: int,
+    keep_trace: bool,
+) -> LllRunResult:
+    """The loop behind :func:`lll_run`; with ``T`` None the sampled agent
+    picks its action uniformly instead (:func:`random_play_baseline`)."""
     if steps < 1:
         raise ValueError("need at least one step")
     if not 0 <= burn_in < steps:
@@ -225,39 +248,109 @@ def lll_run(
     if a0 is None:
         a0 = empty_profile(game)
     validate_joint_action(game, a0)
-    rng = random.Random(seed)
     upd = _updatable(game)
     eng = game._engine
-    runner = (_SeparableRunner if eng.separable else _GenericRunner)(eng, a0)
+    act_res, visible, value = eng.act_res, eng.visible, eng.value
+    separable = eng.separable
+    curves = eng.curves if separable else None
+    idxs = [acts.index(a0[i]) for i, acts in enumerate(eng.actions)]
+    counts = [0] * eng.m
+    vis = [0] * eng.m  # selections by visible agents
+    for i, act in enumerate(a0):
+        for r in act:
+            counts[r] += 1
+            vis[r] += visible[i]
+    # tabulated welfare is read on the first step: a0's base set may lack an entry
+    w = value(counts) if separable else None
+    # the resources whose visible counts agent i's distribution depends on,
+    # None if it sees nobody: those its actions touch for separable welfare,
+    # every resource for tabulated welfare, which depends on the base set
+    everything = tuple(range(eng.m))
+    touched = [
+        None if not eng.sees[i]
+        else tuple(sorted(set().union(*res))) if separable
+        else everything
+        for i, res in enumerate(act_res)
+    ]
+    solo = [None] * eng.n  # the one distribution of each agent that sees nobody
+    cache = {}  # the others', by (agent, action index, visible counts touched)
+
+    def distribution(i):
+        ctx = eng.context(eng.profile(idxs), eng.sees[i])
+        return list(itertools.accumulate(_softmax(eng.utilities(i, ctx), T)))
+
+    rng = random.Random(seed)
+    getrandbits, rand, randrange = rng.getrandbits, rng.random, rng.randrange
     n_upd = len(upd)
-    # cumulative sampling weights by what the softmax depends on; built with
-    # the additions _sample_index makes, so every draw is the same
-    cache = {}
+    bits = n_upd.bit_length()
     total = 0.0
     total_sq = 0.0
     w_min = math.inf
     w_max = -math.inf
-    count = 0
     trace = [] if keep_trace else None
     for step in range(steps):
-        i = upd[rng.randrange(n_upd)]
-        key = runner.key(i)
-        cum = cache.get(key)
-        if cum is None:
-            if len(cache) >= _CACHE_LIMIT:
-                cache.clear()
-            cum = cache[key] = list(itertools.accumulate(_softmax(runner.utilities(i), T)))
-        w = runner.apply(i, _draw(cum, rng.random()))
+        # rng.randrange(n_upd), as CPython's Random._randbelow draws it
+        i = getrandbits(bits)
+        while i >= n_upd:
+            i = getrandbits(bits)
+        i = upd[i]
+        old = idxs[i]
+        if T is None:
+            j = randrange(len(act_res[i]))
+        else:
+            keys = touched[i]
+            if keys is None:
+                cum = solo[i]
+                if cum is None:
+                    cum = solo[i] = distribution(i)
+            else:
+                key = (i, old, tuple([vis[r] for r in keys]))
+                cum = cache.get(key)
+                if cum is None:
+                    if len(cache) >= _CACHE_LIMIT:
+                        cache.clear()
+                    cum = cache[key] = distribution(i)
+            j = _draw(cum, rand())
+        if j != old:
+            res_old = act_res[i][old]
+            res_new = act_res[i][j]
+            if separable:
+                for r in res_old:
+                    c = counts[r]
+                    counts[r] = c - 1
+                    w += curves[r][c - 1] - curves[r][c]
+                for r in res_new:
+                    c = counts[r]
+                    counts[r] = c + 1
+                    w += curves[r][c + 1] - curves[r][c]
+            else:
+                # the base set changes only where a count crosses zero
+                for r in res_new:
+                    if not counts[r]:
+                        w = None
+                    counts[r] += 1
+                for r in res_old:
+                    counts[r] -= 1
+                    if not counts[r]:
+                        w = None
+            if visible[i]:
+                for r in res_old:
+                    vis[r] -= 1
+                for r in res_new:
+                    vis[r] += 1
+            idxs[i] = j
+        if w is None:
+            w = value(frozenset([r for r, c in enumerate(counts) if c]))
         if trace is not None:
             trace.append(w)
         if step >= burn_in:
-            count += 1
             total += w
             total_sq += w * w
             if w < w_min:
                 w_min = w
             if w > w_max:
                 w_max = w
+    count = steps - burn_in
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
     return LllRunResult(
@@ -269,118 +362,9 @@ def lll_run(
         std_welfare=math.sqrt(var),
         min_welfare=w_min,
         max_welfare=w_max,
-        final=runner.profile(),
+        final=eng.profile(idxs),
         trace=None if trace is None else tuple(trace),
     )
-
-
-class _Runner:
-    """A trajectory's state: each agent's action index and the selection
-    counts of all agents and of the visible ones, kept incrementally.
-
-    ``touched[i]`` lists the resources whose visible counts agent i's
-    sampling distribution depends on, None if i sees nobody: those its
-    actions touch for separable welfare, every resource for tabulated
-    welfare, which depends on the whole base set.
-    """
-
-    def __init__(self, eng: _Engine, a0: JointAction):
-        self.eng = eng
-        self.idxs = [acts.index(a0[i]) for i, acts in enumerate(eng.actions)]
-        self.counts = [0] * eng.m
-        self.vis = [0] * eng.m
-        for i, act in enumerate(a0):
-            for r in act:
-                self.counts[r] += 1
-                self.vis[r] += eng.visible[i]
-        everything = tuple(range(eng.m))
-        self.touched = [
-            None if not eng.sees[i]
-            else tuple(sorted(set().union(*res))) if eng.separable
-            else everything
-            for i, res in enumerate(eng.act_res)
-        ]
-
-    def key(self, i: int):
-        """What agent i's sampling distribution depends on besides T: the
-        agent alone if it sees nobody, else its action and the visible
-        counts of ``touched[i]``."""
-        touched = self.touched[i]
-        if touched is None:
-            return i
-        vis = self.vis
-        return (i, self.idxs[i], tuple([vis[r] for r in touched]))
-
-    def utilities(self, i: int):
-        eng = self.eng
-        return eng.utilities(i, eng.context(self.profile(), eng.sees[i]))
-
-    def _move(self, i: int, old: int, j: int) -> None:
-        """Record agent i's switch from action ``old`` to ``j`` in the
-        visible counts; the subclass has already updated ``counts``."""
-        eng = self.eng
-        if eng.visible[i]:
-            vis = self.vis
-            for r in eng.act_res[i][old]:
-                vis[r] -= 1
-            for r in eng.act_res[i][j]:
-                vis[r] += 1
-        self.idxs[i] = j
-
-    def profile(self) -> JointAction:
-        return self.eng.profile(self.idxs)
-
-
-class _SeparableRunner(_Runner):
-    """Incremental welfare for separable games."""
-
-    def __init__(self, eng: _Engine, a0: JointAction):
-        super().__init__(eng, a0)
-        self.welfare = eng.value(self.counts)
-
-    def apply(self, i: int, j: int) -> float:
-        eng = self.eng
-        old = self.idxs[i]
-        if j != old:
-            curves = eng.curves
-            counts = self.counts
-            for r in eng.act_res[i][old]:
-                c = counts[r]
-                counts[r] = c - 1
-                self.welfare += curves[r][c - 1] - curves[r][c]
-            for r in eng.act_res[i][j]:
-                c = counts[r]
-                counts[r] = c + 1
-                self.welfare += curves[r][c + 1] - curves[r][c]
-            self._move(i, old, j)
-        return self.welfare
-
-
-class _GenericRunner(_Runner):
-    """Tabulated games: the table is read again only when the base set
-    changes, that is when some count crosses zero."""
-
-    def __init__(self, eng: _Engine, a0: JointAction):
-        super().__init__(eng, a0)
-        self.welfare = None  # read on the first step: a0's base set may lack an entry
-
-    def apply(self, i: int, j: int) -> float:
-        eng = self.eng
-        old = self.idxs[i]
-        if j != old:
-            counts = self.counts
-            for r in eng.act_res[i][j]:
-                if not counts[r]:
-                    self.welfare = None
-                counts[r] += 1
-            for r in eng.act_res[i][old]:
-                counts[r] -= 1
-                if not counts[r]:
-                    self.welfare = None
-            self._move(i, old, j)
-        if self.welfare is None:
-            self.welfare = eng.value(frozenset([r for r, c in enumerate(self.counts) if c]))
-        return self.welfare
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +415,4 @@ def temperature_sweep(
 def random_play_baseline(game: GameInstance, steps: int, seed: int) -> float:
     """Mean welfare when the chosen agent resamples uniformly instead of by
     softmax; disabled agents never update."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    rng = random.Random(seed)
-    upd = _updatable(game)
-    eng = game._engine
-    runner = (_SeparableRunner if eng.separable else _GenericRunner)(eng, empty_profile(game))
-    n_upd = len(upd)
-    total = 0.0
-    for _ in range(steps):
-        i = upd[rng.randrange(n_upd)]
-        j = rng.randrange(len(eng.actions[i]))
-        total += runner.apply(i, j)
-    return total / steps
+    return _play(game, None, steps, seed, None, 0, False).mean_welfare

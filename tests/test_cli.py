@@ -371,6 +371,26 @@ class TestLll:
         assert err.startswith("error: temperature")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "temps, message",
+        [
+            ("0.1,,0.2", "has an empty item"),
+            ("0.1,", "has an empty item"),
+            ("0.1:inf:3", "has a non-finite stop inf"),
+            ("inf:1:3(lin)", "has a non-finite start inf"),
+        ],
+    )
+    def test_empty_items_and_infinite_grid_ends_exit_two(self, tmp_path, capsys, temps, message):
+        inst = tmp_path / "sim.json"
+        inst.write_text(al.serialize(al.gen_sim_game(5, 4, 0.05)))
+        code, out, err = run(
+            capsys, "lll", "--instance", str(inst), "--temps", temps, "--steps", "10",
+        )
+        assert code == 2
+        assert err.startswith("error: temperature")
+        assert message in err
+        assert out == ""
+
     def test_workers_option_is_gone(self, tmp_path, capsys):
         inst = tmp_path / "sim.json"
         inst.write_text(al.serialize(al.gen_sim_game(5, 4, 0.05)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility, UtilityClass
+from anarchy_lab import equilibrium
 from anarchy_lab.equilibrium import _best_profile
 
 
@@ -609,15 +610,36 @@ class TestInstancePoa:
             assert report.ratio < 1.0 / big
             assert report.bound_satisfied
 
-    def test_empty_pne_reported_undefined(self):
-        # matching-pennies-like preferences cannot arise in these games, so
-        # force emptiness with an impossible cap instead: use a game whose
-        # only candidate fails, by making the blind agent's fixed choice
-        # break the normal agent's condition. Simplest honest case: none
-        # exists in this class, so synthesize emptiness via monkey game:
+    def test_all_zero_optimum_reported_undefined(self):
+        # every profile of a worthless game is an equilibrium, and a ratio
+        # over a zero optimum is undefined
+        g = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+            action_sets=((frozenset({0}),), (frozenset({0}), frozenset({1}))),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(Compromise.BLIND, Compromise.NORMAL),
+        )
+        report = al.instance_poa(g)
+        assert report.opt_welfare == 0.0
+        assert report.worst_ne_welfare == 0.0
+        assert report.ratio is None
+        assert report.bound_satisfied is None
+        assert report.pne_count == 6 == len(al.enumerate_pne(g).profiles)
+
+    def test_empty_pne_reported_undefined(self, monkeypatch):
+        # the game classes here always have an equilibrium, so the empty set
+        # comes from a stand-in enumeration
         g = al.gen_k_blind(3, 1, 0.01, 0.01)
-        eqs = al.enumerate_pne(g)
-        assert not eqs.is_empty  # sanity: the family always has equilibria
+        opt = al.optimal_welfare(g)
+        empty = equilibrium.EquilibriumSet(profiles=(), welfares=())
+        monkeypatch.setattr(equilibrium, "enumerate_pne", lambda game, cap: empty)
+        report = al.instance_poa(g)
+        assert (report.opt_welfare, report.opt_profile) == opt
+        assert report.worst_ne_welfare is None
+        assert report.worst_ne_profile is None
+        assert report.ratio is None
+        assert report.bound_satisfied is None
+        assert report.pne_count == 0
 
 
 class TestSubgame:

@@ -280,21 +280,55 @@ def test_all_disabled_game_is_refused_with_its_cause(separable):
 LABELS = (Compromise.NORMAL, Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED)
 
 
-def reference_lll_run(game, T, steps, seed, a0=None, burn_in=0, keep_trace=False):
-    """lll_run without the cache: every step takes the sampled agent's
-    distribution from action_distribution and draws with _sample_index.
-    Separable welfare is the runner's incremental sum, whose summation order
-    the outputs depend on; tabulated welfare is welfare_eval's table entry."""
+def reference_walk(game, seed, choose, a0=None):
+    """Single-agent updates without any cache, as lll_step makes them: each
+    step draws the agent with ``rng.randrange`` and its action index with
+    ``choose(rng, i, current)``, then yields the welfare and the profile.
+    Separable welfare is summed incrementally, the old action's resources in
+    ascending order and then the new action's, because the outputs depend on
+    that summation order; tabulated welfare is welfare_eval's table entry."""
     rng = random.Random(seed)
     upd = [i for i, c in enumerate(game.compromise) if c is not Compromise.DISABLED]
     current = al.empty_profile(game) if a0 is None else a0
-    sep = learning._SeparableRunner(game._engine, current) if game.separable else None
-    values = []
-    for _ in range(steps):
+    if game.separable:
+        curves = game.welfare.curves
+        counts = [0] * len(curves)
+        for act in current:
+            for r in act:
+                counts[r] += 1
+        w = 0.0
+        for r, curve in enumerate(curves):
+            w += curve[counts[r]]
+    while True:
         i = upd[rng.randrange(len(upd))]
-        j = _sample_index(al.action_distribution(game, i, current, T), rng.random())
-        current = current[:i] + (game.action_sets[i][j],) + current[i + 1 :]
-        values.append(sep.apply(i, j) if sep else al.welfare_eval(game, current))
+        act = game.action_sets[i][choose(rng, i, current)]
+        if game.separable and act != current[i]:
+            for r in sorted(current[i]):
+                c = counts[r]
+                counts[r] = c - 1
+                w += curves[r][c - 1] - curves[r][c]
+            for r in sorted(act):
+                c = counts[r]
+                counts[r] = c + 1
+                w += curves[r][c + 1] - curves[r][c]
+        current = current[:i] + (act,) + current[i + 1 :]
+        yield (w if game.separable else al.welfare_eval(game, current)), current
+
+
+def softmax_choice(game, T):
+    """lll_step's action draw: agent i's distribution from
+    action_distribution, sampled with _sample_index."""
+    return lambda rng, i, current: _sample_index(
+        al.action_distribution(game, i, current, T), rng.random()
+    )
+
+
+def reference_lll_run(game, T, steps, seed, a0=None, burn_in=0, keep_trace=False):
+    """lll_run without the cache, from reference_walk's softmax steps."""
+    walk = reference_walk(game, seed, softmax_choice(game, T), a0)
+    values = []
+    for w, current in itertools.islice(walk, steps):
+        values.append(w)
     kept = values[burn_in:]
     total = total_sq = 0.0
     for w in kept:
@@ -315,9 +349,19 @@ def reference_lll_run(game, T, steps, seed, a0=None, burn_in=0, keep_trace=False
     )
 
 
-def coverage_game(rng, labels):
+def reference_baseline(game, steps, seed):
+    """random_play_baseline without the incremental loop of lll_run."""
+    uniform = lambda rng, i, current: rng.randrange(len(game.action_sets[i]))
+    total = 0.0
+    for w, _ in itertools.islice(reference_walk(game, seed, uniform), steps):
+        total += w
+    return total / steps
+
+
+def coverage_game(rng, labels, holes=0.0):
     """Weighted-coverage welfare tabulated over every resource subset, with
-    marginal-contribution utilities."""
+    marginal-contribution utilities; each nonempty subset's entry is left
+    out with probability ``holes``."""
     n = len(labels)
     m = rng.randint(2, 5)
     cover = [frozenset(rng.sample(range(6), rng.randint(1, 3))) for _ in range(m)]
@@ -325,6 +369,8 @@ def coverage_game(rng, labels):
     table = {}
     for size in range(m + 1):
         for subset in itertools.combinations(range(m), size):
+            if holes and size and rng.random() < holes:
+                continue
             covered = frozenset().union(*(cover[r] for r in subset))
             table[frozenset(subset)] = sum(weights[e] for e in sorted(covered))
     action_sets = []
@@ -402,18 +448,55 @@ class TestCachedRunner:
         al.lll_run(al.gen_sim_game(10, 9, 0.05), T=0.001, steps=30_000, seed=1)
         assert 0 < len(calls) < 100
 
-    def test_baseline_on_tabulated_games_equals_an_uncached_loop(self):
+    @pytest.mark.parametrize("updatable", [1, 2, 3, 8, 9, 17])
+    def test_equals_the_reference_for_any_number_of_updatable_agents(self, updatable):
+        # the agent draw rejects getrandbits values past the agent count, as
+        # rng.randrange does; powers of two and a single agent are the edges
+        rng = random.Random(updatable)
+        for disabled in (0, 1, 3):
+            labels = [rng.choice(LABELS[:3]) for _ in range(updatable)]
+            labels += [Compromise.DISABLED] * disabled
+            rng.shuffle(labels)
+            sep = al.gen_random_separable(len(labels), 5, 4, seed=updatable + disabled)
+            sep = dataclasses.replace(sep, compromise=tuple(labels))
+            for game in (sep, coverage_game(rng, labels)):
+                seed = rng.randrange(2**32)
+                for T in (0.01, 1.0):
+                    got = al.lll_run(game, T, 300, seed, keep_trace=True)
+                    assert got == reference_lll_run(game, T, 300, seed, keep_trace=True)
+
+    def test_a_missing_table_entry_raises_at_the_reference_step(self):
+        raised = 0
+        for g in range(40):
+            rng = random.Random(g)
+            labels = [rng.choice(LABELS) for _ in range(rng.randint(1, 5))] + [Compromise.NORMAL]
+            game = coverage_game(rng, labels, holes=0.15)
+            seed = rng.randrange(2**32)
+            walk = reference_walk(game, seed, softmax_choice(game, 0.1))
+            done = 0
+            try:
+                for _ in itertools.islice(walk, 200):
+                    done += 1
+            except al.ModelIncompleteError as exc:
+                raised += 1
+                with pytest.raises(al.ModelIncompleteError) as got:
+                    al.lll_run(game, 0.1, done + 1, seed)
+                assert str(got.value) == str(exc)
+            if done:
+                got = al.lll_run(game, 0.1, done, seed, keep_trace=True)
+                assert got == reference_lll_run(game, 0.1, done, seed, keep_trace=True)
+        assert raised >= 10
+
+    def test_baseline_on_separable_games_equals_an_uncached_loop(self):
         for game, rng in mixed_games(12):
             if game.separable:
-                continue
-            seed = rng.randrange(2**32)
-            r = random.Random(seed)
-            upd = [i for i, c in enumerate(game.compromise) if c is not Compromise.DISABLED]
-            current = al.empty_profile(game)
-            total = 0.0
-            for _ in range(500):
-                i = upd[r.randrange(len(upd))]
-                act = game.action_sets[i][r.randrange(len(game.action_sets[i]))]
-                current = current[:i] + (act,) + current[i + 1 :]
-                total += al.welfare_eval(game, current)
-            assert al.random_play_baseline(game, 500, seed) == total / 500
+                seed = rng.randrange(2**32)
+                want = reference_baseline(game, 500, seed)
+                assert al.random_play_baseline(game, 500, seed) == want
+
+    def test_baseline_on_tabulated_games_equals_an_uncached_loop(self):
+        for game, rng in mixed_games(12):
+            if not game.separable:
+                seed = rng.randrange(2**32)
+                want = reference_baseline(game, 500, seed)
+                assert al.random_play_baseline(game, 500, seed) == want

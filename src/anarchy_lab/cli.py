@@ -21,6 +21,7 @@ from . import equilibrium as eq
 from . import instances as inst
 from . import learning
 from .game import (
+    DEFAULT_CHECK_CAP,
     Compromise,
     GameInstance,
     ModelIncompleteError,
@@ -111,8 +112,14 @@ def _parse_temps(spec: str):
         elif spec.endswith("(lin)"):
             spec = spec[: -len("(lin)")]
             mode = "lin"
-        start_s, stop_s, count_s = spec.split(":")
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
+        try:
+            start_s, stop_s, count_s = spec.split(":")
+            start, stop, count = float(start_s), float(stop_s), int(count_s)
+        except ValueError:
+            raise ValueError(
+                f"temperature grid {spec!r} is not start:stop:count "
+                "(two numbers and an integer count)"
+            ) from None
         for name, value in (("start", start), ("stop", stop)):
             if not math.isfinite(value):
                 raise ValueError(f"temperature grid {spec!r} has a non-finite {name} {value!r}")
@@ -129,7 +136,13 @@ def _parse_temps(spec: str):
     items = spec.split(",")
     if not all(items):
         raise ValueError(f"temperature list {spec!r} has an empty item")
-    return [float(t) for t in items]
+    try:
+        return [float(t) for t in items]
+    except ValueError:
+        raise ValueError(
+            f"temperature list {spec!r} has an item that is not a number "
+            "(give numbers separated by commas, or a start:stop:count grid)"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +280,8 @@ def _chains_ok(game: GameInstance, report: eq.PoAReport) -> Optional[bool]:
 def cmd_bounds(args) -> int:
     ks = _parse_k_range(args.k)
     forced = _parse_labels(args.labels, max(ks)) if args.labels else None
+    if forced and Compromise.NORMAL in forced:
+        raise ValueError("bounds --labels takes blind, isolated or disabled, not normal")
     rows = []
     docs = []
     any_violation = False
@@ -436,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=250_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pne", help="enumerate all pure Nash equilibria")

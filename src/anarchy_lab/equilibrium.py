@@ -15,7 +15,8 @@ scan of every profile would. The fast paths evaluate welfare, observed
 contexts and candidate utilities through the game's evaluation kernel
 (``game._Engine``); the profile-level ``best_response_set`` and ``is_pne``
 evaluate the model's definitions directly and are the reference the tests
-hold the kernel to.
+hold the kernel to. Bound certificates value each term of a chain once,
+as a kernel context.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Mapping, Optional
 from .game import (
     EMPTY_ACTION,
     TOLERANCE,
-    Action,
     Compromise,
     GameInstance,
     JointAction,
@@ -39,10 +39,8 @@ from .game import (
     TabulatedWelfare,
     Utility,
     _Engine,
-    designed_utility,
     effective_utility,
     joint_space_size,
-    observation_structure,
     validate_joint_action,
     welfare_eval,
 )
@@ -143,9 +141,9 @@ class BoundChainCertificate:
     extrapolated: bool  # evaluated outside the range the chain was derived for
 
 
-def _argmax_indices(values, tol: float = TOLERANCE):
+def _argmax_indices(values):
     best = max(values)
-    return [j for j, v in enumerate(values) if v >= best - tol]
+    return [j for j, v in enumerate(values) if v >= best - TOLERANCE]
 
 
 def _best_responds(utilities, j: int) -> bool:
@@ -676,19 +674,6 @@ def subgame(game: GameInstance, fixed: Mapping) -> GameInstance:
 # bound-chain certificates
 
 
-def _union(a: JointAction, b: JointAction) -> JointAction:
-    return tuple(x | y for x, y in zip(a, b))
-
-
-def _only(a: JointAction, agents) -> JointAction:
-    keep = set(agents)
-    return tuple(act if i in keep else EMPTY_ACTION for i, act in enumerate(a))
-
-
-def _solo(n: int, i: int, act: Action) -> JointAction:
-    return tuple(act if j == i else EMPTY_ACTION for j in range(n))
-
-
 def _validate_chain_inputs(game, a_ne, a_opt, cap):
     validate_joint_action(game, a_ne)
     validate_joint_action(game, a_opt, playable=False)
@@ -697,6 +682,23 @@ def _validate_chain_inputs(game, a_ne, a_opt, cap):
     opt_w, _ = optimal_welfare(game, cap=cap)
     if welfare_eval(game, a_opt) < opt_w - TOLERANCE:
         raise ValueError("a_opt is not welfare-optimal for this game")
+
+
+def _certificate(kind: str, first: float, steps, extrapolated: bool) -> BoundChainCertificate:
+    """The certificate of a chain that starts at ``first`` and moves on to
+    the value of each ``(label, value)`` step in turn; a step holds when its
+    left side is at most its right side plus the tolerance."""
+    chain = []
+    left = first
+    for label, right in steps:
+        chain.append(ChainStep(label, left, right, left <= right + TOLERANCE))
+        left = right
+    return BoundChainCertificate(
+        kind=kind,
+        steps=tuple(chain),
+        holds=all(s.holds for s in chain),
+        extrapolated=extrapolated,
+    )
 
 
 def check_bound_chain_general(
@@ -719,88 +721,61 @@ def check_bound_chain_general(
     if validate:
         _validate_chain_inputs(game, a_ne, a_opt, cap)
 
-    n = game.n
+    eng = game._engine
+    n = eng.n
     comp = set(game.compromised)
     k = len(comp)
     normals = [i for i in range(n) if i not in comp]
-    observed = observation_structure(game)
-    w = lambda p: welfare_eval(game, p)
+    # what each agent observes of a_ne; a compromised agent observes nobody,
+    # so an action on top of its context is that action played alone
+    seen = [eng.context(a_ne, agents) for agents in eng.sees]
 
-    w_opt = w(a_opt)
-    w_ne = w(a_ne)
-    union_all = _union(a_opt, a_ne)
+    def on_seen(i, act):
+        return eng.value(eng.join(seen[i], act))
 
-    # telescoped insertion of optimal actions (agent order is index order)
+    def gain(i, act):
+        return on_seen(i, act) - eng.value(seen[i])
+
+    def utility(i, act):
+        if eng.is_mc[i]:
+            return gain(i, act)
+        return eng.utilities(i, seen[i])[eng.actions[i].index(act)]
+
+    w_opt = eng.value(eng.context(a_opt))
+    w_ne = eng.value(eng.context(a_ne))
+
+    # telescoped insertion of optimal actions, in index order; the last
+    # context is a_opt joined agent by agent with a_ne
+    ctx = eng.context(a_ne)
+    w_joined = w_ne
     telescope = 0.0
     for i in range(n):
-        upto = _union(a_ne, _only(a_opt, range(i + 1)))
-        before = _union(a_ne, _only(a_opt, range(i)))
-        telescope += w(upto) - w(before)
+        ctx = eng.join(ctx, a_opt[i] - a_ne[i])
+        w_before, w_joined = w_joined, eng.value(ctx)
+        telescope += w_joined - w_before
 
     # the same marginals, each taken in its observer's reduced context
     reduced = 0.0
     for i in range(n):
-        ctx = _only(a_ne, observed[i])
-        reduced += w(_union(_solo(n, i, a_opt[i]), ctx)) - w(ctx)
+        reduced += gain(i, a_opt[i])
 
-    opt_at_ctx = sum(
-        designed_utility(
-            game, i, _union(_solo(n, i, a_opt[i]), _only(a_ne, observed[i]))
-        )
-        for i in normals
-    )
-    solo_opt = sum(w(_solo(n, i, a_opt[i])) for i in comp)
+    opt_at_ctx = sum(utility(i, a_opt[i]) for i in normals)
+    solo_opt = sum(on_seen(i, a_opt[i]) for i in comp)
+    ne_at_ctx = sum(utility(i, a_ne[i]) for i in normals)
+    eff_opt_alone = sum(utility(i, a_opt[i]) for i in comp)
+    eff_ne_alone = sum(utility(i, a_ne[i]) for i in comp)
+    solo_ne = sum(on_seen(i, a_ne[i]) for i in comp)
 
-    ne_at_ctx = sum(
-        designed_utility(
-            game, i, _union(_solo(n, i, a_ne[i]), _only(a_ne, observed[i]))
-        )
-        for i in normals
-    )
-    eff_opt_alone = sum(effective_utility(game, i, _solo(n, i, a_opt[i])) for i in comp)
-    eff_ne_alone = sum(effective_utility(game, i, _solo(n, i, a_ne[i])) for i in comp)
-    solo_ne = sum(w(_solo(n, i, a_ne[i])) for i in comp)
-
-    values = [
-        ("optimum_below_joined_profiles", w_opt, w(union_all)),
-        ("telescoped_insertion", w(union_all), w_ne + telescope),
-        ("submodular_context_reduction", w_ne + telescope, w_ne + reduced),
-        (
-            "utilities_dominate_marginals",
-            w_ne + reduced,
-            w_ne + opt_at_ctx + solo_opt,
-        ),
-        (
-            "equilibrium_deviations_unprofitable",
-            w_ne + opt_at_ctx + solo_opt,
-            w_ne + ne_at_ctx + eff_opt_alone,
-        ),
-        (
-            "utility_sums_below_welfare",
-            w_ne + ne_at_ctx + eff_opt_alone,
-            2.0 * w_ne + eff_ne_alone,
-        ),
-        (
-            "compromised_utilities_below_solo_welfare",
-            2.0 * w_ne + eff_ne_alone,
-            2.0 * w_ne + solo_ne,
-        ),
-        (
-            "solo_welfares_below_equilibrium_welfare",
-            2.0 * w_ne + solo_ne,
-            (2.0 + k) * w_ne,
-        ),
-    ]
-    steps = tuple(
-        ChainStep(label, left, right, left <= right + TOLERANCE)
-        for label, left, right in values
-    )
-    return BoundChainCertificate(
-        kind="2+k",
-        steps=steps,
-        holds=all(s.holds for s in steps),
-        extrapolated=k >= n - 1,
-    )
+    return _certificate("2+k", w_opt, [
+        ("optimum_below_joined_profiles", w_joined),
+        ("telescoped_insertion", w_ne + telescope),
+        ("submodular_context_reduction", w_ne + reduced),
+        ("utilities_dominate_marginals", w_ne + opt_at_ctx + solo_opt),
+        ("equilibrium_deviations_unprofitable", w_ne + ne_at_ctx + eff_opt_alone),
+        ("utility_sums_below_welfare", 2.0 * w_ne + eff_ne_alone),
+        ("compromised_utilities_below_solo_welfare", 2.0 * w_ne + solo_ne),
+        ("solo_welfares_below_equilibrium_welfare", (2.0 + k) * w_ne),
+    ], extrapolated=k >= n - 1)
 
 
 def check_bound_chain_mc(
@@ -827,34 +802,32 @@ def check_bound_chain_mc(
     if validate:
         _validate_chain_inputs(game, a_ne, a_opt, cap)
 
-    n = game.n
+    eng = game._engine
+    n = eng.n
     comp = set(game.compromised)
     k = len(comp)
     normals = [i for i in range(n) if i not in comp]
-    w = lambda p: welfare_eval(game, p)
+    ne_blind = eng.context(a_ne, blind)
 
-    ne_blind = _only(a_ne, blind)
-    w_ne_blind = w(ne_blind)
-    w_ne = w(a_ne)
-    w_opt = w(a_opt)
+    def with_blind(a, agents):
+        # the entries a[i] for ``agents`` joined agent by agent with the
+        # blind agents' equilibrium actions
+        ctx = ne_blind
+        for i in agents:
+            ctx = eng.join(ctx, a[i] - a_ne[i] if i in blind else a[i])
+        return ctx
 
-    def residual(profile_over_normals: JointAction) -> float:
-        return w(_union(profile_over_normals, ne_blind)) - w_ne_blind
-
-    opt_normals = _only(a_opt, normals)
-    ne_normals = _only(a_ne, normals)
-
-    solo_opt = sum(w(_solo(n, i, a_opt[i])) for i in comp)
-    solo_ne = sum(w(_solo(n, i, a_ne[i])) for i in comp)
+    w_ne_blind = eng.value(ne_blind)
+    w_ne = eng.value(eng.context(a_ne))
+    w_opt = eng.value(eng.context(a_opt))
+    solo_opt = sum(eng.value(eng.join(eng.empty, a_opt[i])) for i in comp)
+    solo_ne = sum(eng.value(eng.join(eng.empty, a_ne[i])) for i in comp)
 
     # residual optimum: the normal agents' best joint action on top of the
     # blind agents' equilibrium actions
-    size = 1
-    for i in normals:
-        size *= len(game.action_sets[i])
+    size = math.prod(len(game.action_sets[i]) for i in normals)
     if size > cap:
         raise SizeCapError(f"{size} residual joint actions exceed the cap of {cap}")
-    eng = game._engine
     choices = [
         range(len(acts))
         if i in normals
@@ -864,56 +837,22 @@ def check_bound_chain_mc(
     best_joined, _ = _best_profile(eng, choices)
     best_residual = max(0.0, best_joined - w_ne_blind)
 
-    joined = w(_union(a_opt, ne_blind))
-    values = [
-        ("optimum_below_joined_blind_profile", w_opt, joined),
-        ("submodular_peel_of_compromised", joined, w(_union(opt_normals, ne_blind)) + solo_opt),
-        (
-            "compromised_best_respond_alone",
-            w(_union(opt_normals, ne_blind)) + solo_opt,
-            w(_union(opt_normals, ne_blind)) + solo_ne,
-        ),
-        (
-            "fold_into_blind_profile",
-            w(_union(opt_normals, ne_blind)) + solo_ne,
-            w(_union(opt_normals, ne_blind)) + w_ne_blind + (k - 1) * w_ne,
-        ),
-        (
-            "residual_welfare_rewrite",
-            w(_union(opt_normals, ne_blind)) + w_ne_blind + (k - 1) * w_ne,
-            residual(opt_normals) + 2.0 * w_ne_blind + (k - 1) * w_ne,
-        ),
-        (
-            "residual_optimum",
-            residual(opt_normals) + 2.0 * w_ne_blind + (k - 1) * w_ne,
-            best_residual + 2.0 * w_ne_blind + (k - 1) * w_ne,
-        ),
-        (
-            "residual_factor_two",
-            best_residual + 2.0 * w_ne_blind + (k - 1) * w_ne,
-            2.0 * residual(ne_normals) + 2.0 * w_ne_blind + (k - 1) * w_ne,
-        ),
-        (
-            "residual_unfold",
-            2.0 * residual(ne_normals) + 2.0 * w_ne_blind + (k - 1) * w_ne,
-            2.0 * w(_union(ne_normals, ne_blind)) + (k - 1) * w_ne,
-        ),
-        (
-            "joined_equilibrium_below_full",
-            2.0 * w(_union(ne_normals, ne_blind)) + (k - 1) * w_ne,
-            (1.0 + k) * w_ne,
-        ),
-    ]
-    steps = tuple(
-        ChainStep(label, left, right, left <= right + TOLERANCE)
-        for label, left, right in values
-    )
-    return BoundChainCertificate(
-        kind="1+k",
-        steps=steps,
-        holds=all(s.holds for s in steps),
-        extrapolated=False,
-    )
+    w_joined = eng.value(with_blind(a_opt, range(n)))
+    w_opt_normals = eng.value(with_blind(a_opt, normals))
+    w_ne_normals = eng.value(with_blind(a_ne, normals))
+    blind_twice = 2.0 * w_ne_blind
+    rest = (k - 1) * w_ne
+    return _certificate("1+k", w_opt, [
+        ("optimum_below_joined_blind_profile", w_joined),
+        ("submodular_peel_of_compromised", w_opt_normals + solo_opt),
+        ("compromised_best_respond_alone", w_opt_normals + solo_ne),
+        ("fold_into_blind_profile", w_opt_normals + w_ne_blind + rest),
+        ("residual_welfare_rewrite", (w_opt_normals - w_ne_blind) + blind_twice + rest),
+        ("residual_optimum", best_residual + blind_twice + rest),
+        ("residual_factor_two", 2.0 * (w_ne_normals - w_ne_blind) + blind_twice + rest),
+        ("residual_unfold", 2.0 * w_ne_normals + rest),
+        ("joined_equilibrium_below_full", (1.0 + k) * w_ne),
+    ], extrapolated=False)
 
 
 # ---------------------------------------------------------------------------

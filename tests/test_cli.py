@@ -251,6 +251,28 @@ class TestAnalysis:
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ["normal", "blind,normal"])
+    def test_bounds_rejects_a_normal_label(self, labels, capsys):
+        # a relabel to normal would leave nobody compromised while the row
+        # still reads k
+        code, out, err = run(
+            capsys, "bounds", "--family", "k_blind", "--n", "4", "--k", "1..2",
+            "--labels", labels,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bounds --labels") and "not normal" in err
+
+    def test_gen_still_takes_normal_labels(self, tmp_path, capsys):
+        out = tmp_path / "fig1.json"
+        code, _, _ = run(
+            capsys, "gen", "--family", "fig1", "--labels", "normal,blind,isolated",
+            "--out", str(out),
+        )
+        assert code == 0
+        game = al.parse(out.read_text())
+        assert [c.value for c in game.compromise] == ["normal"] * 3 + ["blind", "isolated"]
+
     def test_bounds_hub_family_all_rows_satisfied(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--family", "k_blind", "--n", "6", "--k", "0..4",
@@ -378,6 +400,11 @@ class TestLll:
             ("0.1,", "has an empty item"),
             ("0.1:inf:3", "has a non-finite stop inf"),
             ("inf:1:3(lin)", "has a non-finite start inf"),
+            ("1:2", "grid '1:2' is not start:stop:count"),
+            ("0.1:1:2:3", "grid '0.1:1:2:3' is not start:stop:count"),
+            ("1:2:3.5", "grid '1:2:3.5' is not start:stop:count"),
+            ("abc", "list 'abc' has an item that is not a number (give numbers "
+             "separated by commas, or a start:stop:count grid)"),
         ],
     )
     def test_empty_items_and_infinite_grid_ends_exit_two(self, tmp_path, capsys, temps, message):

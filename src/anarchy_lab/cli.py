@@ -240,10 +240,7 @@ def cmd_poa(args) -> int:
 
 def _label_mixes(family: str, k: int, forced):
     if forced is not None:
-        mix = forced if len(forced) == k else forced[:1] * k
-        if len(mix) != k:
-            raise ValueError(f"need {k} labels for k={k}")
-        return [mix]
+        return [forced * k if len(forced) == 1 else forced]
     if k == 0 or family == "mc_noblind":
         return [()] if k == 0 else [(Compromise.ISOLATED,) * k]
     mixes = [(Compromise.BLIND,) * k, (Compromise.ISOLATED,) * k]
@@ -279,9 +276,14 @@ def _chains_ok(game: GameInstance, report: eq.PoAReport) -> Optional[bool]:
 
 def cmd_bounds(args) -> int:
     ks = _parse_k_range(args.k)
-    forced = _parse_labels(args.labels, max(ks)) if args.labels else None
+    # as given (k=1 does not expand one label): one label applies to every
+    # k, a list must name exactly k labels
+    forced = _parse_labels(args.labels, 1) if args.labels else None
     if forced and Compromise.NORMAL in forced:
         raise ValueError("bounds --labels takes blind, isolated or disabled, not normal")
+    for k in ks:
+        if forced is not None and len(forced) not in (1, k):
+            raise ValueError(f"expected {k} labels, got {len(forced)}")
     rows = []
     docs = []
     any_violation = False
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("k_blind", "mc_blind", "mc_noblind", "sim"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help="single value or range lo..hi")
-    p.add_argument("--labels", help="force one label mix (e.g. 'disabled')")
+    p.add_argument("--labels", help="one label for every k (e.g. 'disabled'), or a list of k")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)

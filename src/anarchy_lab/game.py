@@ -346,13 +346,9 @@ def welfare_eval(game: GameInstance, a: JointAction) -> float:
     return eng.value(eng.context(a))
 
 
-def _replace(a: JointAction, i: int, act: Action) -> JointAction:
-    return a[:i] + (act,) + a[i + 1 :]
-
-
 def marginal_contribution(game: GameInstance, i: int, a: JointAction) -> float:
     """W(a) minus W with agent i opted out."""
-    return welfare_eval(game, a) - welfare_eval(game, _replace(a, i, EMPTY_ACTION))
+    return welfare_eval(game, a) - welfare_eval(game, a[:i] + (EMPTY_ACTION,) + a[i + 1 :])
 
 
 def equal_share(game: GameInstance, i: int, a: JointAction) -> float:
@@ -714,9 +710,13 @@ def check_vug(
     assigned utilities, which is how non-shipped designs can be probed.
 
     The welfare conditions are the embedded :func:`check_submodular` report.
+    The profiles are walked depth first in :func:`all_profiles` order, one
+    selection-count list updated as each agent's action is entered and left,
+    so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats.
     """
-    _require_cap(game, cap)
-    welfare_report = check_submodular(game, cap=cap)
+    welfare_report = check_submodular(game, cap=cap)  # refuses above the cap
+    eng = game._engine
+    n, separable, value, act_res = eng.n, eng.separable, eng.value, eng.act_res
 
     cond2_ok = True
     cond3_ok = True
@@ -724,25 +724,59 @@ def check_vug(
     failure: Optional[CheckFinding] = None
     profiles = 0
 
-    # one W(a) per profile and at most one opt-out welfare per agent: the
-    # same welfare_eval calls marginal_contribution makes, so the same floats
-    for a in all_profiles(game):
+    counts = [0] * eng.m  # selection counts of agents 0..d
+    acts = [EMPTY_ACTION] * n
+    idxs = [-1] * n  # agent d's current action index, -1 before its first
+
+    def opt_out(i: int) -> float:
+        """W(a₋ᵢ); tabulated welfare builds the base set afresh."""
+        if not separable:
+            return value(eng.context(acts[:i] + acts[i + 1 :]))
+        res = act_res[i][idxs[i]]
+        for r in res:
+            counts[r] -= 1
+        v = value(counts)
+        for r in res:
+            counts[r] += 1
+        return v
+
+    d = 0
+    while d >= 0:
+        j = idxs[d]
+        if j >= 0:  # take agent d's previous action back
+            for r in act_res[d][j]:
+                counts[r] -= 1
+        j += 1
+        if j == len(eng.actions[d]):
+            idxs[d] = -1
+            d -= 1
+            continue
+        idxs[d] = j
+        acts[d] = eng.actions[d][j]
+        for r in act_res[d][j]:
+            counts[r] += 1
+        if d + 1 < n:
+            d += 1
+            continue
+        # one W(a) per profile and at most one opt-out welfare per agent
         profiles += 1
-        w = welfare_eval(game, a)
+        w = value(counts if separable else eng.context(acts))
         total = 0.0
-        for i in range(game.n):
+        for i in range(n):
             marginal = None
             if utility_fn is not None:
-                u = utility_fn(game, i, a)
-            elif game.utilities[i] is Utility.MARGINAL_CONTRIBUTION:
-                u = marginal = w - welfare_eval(game, _replace(a, i, EMPTY_ACTION))
-            else:
-                u = equal_share(game, i, a)
+                u = utility_fn(game, i, tuple(acts))
+            elif eng.is_mc[i]:
+                u = marginal = w - opt_out(i)
+            else:  # equal share, summed in sorted resource order
+                u = 0.0
+                for r in act_res[i][idxs[i]]:
+                    u += eng.curves[r][counts[r]] / counts[r]
             total += u
             if not cond2_ok:
                 continue
             if marginal is None:
-                marginal = w - welfare_eval(game, _replace(a, i, EMPTY_ACTION))
+                marginal = w - opt_out(i)
             if u < marginal - TOLERANCE:
                 cond2_ok = False
                 if failure is None:
@@ -751,7 +785,7 @@ def check_vug(
                         f"agent {i}'s utility is below its marginal contribution",
                         {
                             "agent": i,
-                            "profile": [sorted(x) for x in a],
+                            "profile": [sorted(x) for x in acts],
                             "utility": u,
                             "marginal": marginal,
                         },
@@ -764,7 +798,7 @@ def check_vug(
                     "utility-sum-exceeds-welfare",
                     "utilities sum above the welfare",
                     {
-                        "profile": [sorted(x) for x in a],
+                        "profile": [sorted(x) for x in acts],
                         "utility_sum": total,
                         "welfare": w,
                     },

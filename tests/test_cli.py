@@ -263,6 +263,26 @@ class TestAnalysis:
         assert out == ""
         assert err.startswith("error: bounds --labels") and "not normal" in err
 
+    @pytest.mark.parametrize("k, labels, message", [
+        ("1..3", "blind,isolated", "error: expected 1 labels, got 2\n"),
+        ("2", "blind,isolated,blind", "error: expected 2 labels, got 3\n"),
+    ])
+    def test_bounds_rejects_a_label_list_of_another_length(self, k, labels, message, capsys):
+        # the rows used to print k copies of the first label instead
+        code, out, err = run(
+            capsys, "bounds", "--family", "k_blind", "--n", "5", "--k", k, "--labels", labels,
+        )
+        assert (code, out, err) == (2, "", message)
+
+    def test_bounds_applies_one_label_to_every_k(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--family", "k_blind", "--n", "5", "--k", "1..3",
+            "--labels", "isolated",
+        )
+        assert code == 0
+        mixes = [line.split()[1] for line in out.splitlines()[2:]]
+        assert mixes == ["isolated", "isolated,isolated", "isolated,isolated,isolated"]
+
     def test_gen_still_takes_normal_labels(self, tmp_path, capsys):
         out = tmp_path / "fig1.json"
         code, _, _ = run(

@@ -1,6 +1,7 @@
 """Submodularity / validity checkers: they are the oracles, so they get
 their own planted-violation cases."""
 
+import dataclasses
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import anarchy_lab as al
 import anarchy_lab.game as game_module
 from anarchy_lab import Compromise, Utility
+from test_equilibrium import holed_table_game, small_separable_games, small_tabulated_games
 
 
 def tabulated_game(table, num_resources, action_sets, labels=None):
@@ -100,6 +102,64 @@ def direct_scan_submodular(game):
     except al.ModelIncompleteError as exc:
         return report("table-missing", str(exc), None)
     return game_module.SubmodularityReport(True, None, contexts, pairs)
+
+
+def direct_scan_vug(game, cap=game_module.DEFAULT_CHECK_CAP, utility_fn=None):
+    """Independent oracle for check_vug: a plain loop over all_profiles,
+    every W(a) and opt-out welfare valued by welfare_eval on the profile,
+    every equal share by equal_share."""
+    game_module._require_cap(game, cap)
+    welfare_report = al.check_submodular(game, cap=cap)
+    cond2_ok = cond3_ok = cond3_tight = True
+    failure = None
+    profiles = 0
+    for a in al.all_profiles(game):
+        profiles += 1
+        w = al.welfare_eval(game, a)
+        total = 0.0
+        for i in range(game.n):
+            marginal = None
+            if utility_fn is not None:
+                u = utility_fn(game, i, a)
+            elif game.utilities[i] is Utility.MARGINAL_CONTRIBUTION:
+                u = marginal = w - al.welfare_eval(game, a[:i] + (al.EMPTY_ACTION,) + a[i + 1 :])
+            else:
+                u = al.equal_share(game, i, a)
+            total += u
+            if not cond2_ok:
+                continue
+            if marginal is None:
+                marginal = w - al.welfare_eval(game, a[:i] + (al.EMPTY_ACTION,) + a[i + 1 :])
+            if u < marginal - al.TOLERANCE:
+                cond2_ok = False
+                if failure is None:
+                    failure = game_module.CheckFinding(
+                        "utility-below-marginal",
+                        f"agent {i}'s utility is below its marginal contribution",
+                        {"agent": i, "profile": [sorted(x) for x in a], "utility": u,
+                         "marginal": marginal},
+                    )
+        if total > w + al.TOLERANCE:
+            cond3_ok = cond3_tight = False
+            if failure is None:
+                failure = game_module.CheckFinding(
+                    "utility-sum-exceeds-welfare",
+                    "utilities sum above the welfare",
+                    {"profile": [sorted(x) for x in a], "utility_sum": total, "welfare": w},
+                )
+        elif abs(total - w) > al.TOLERANCE:
+            cond3_tight = False
+    if failure is None and not welfare_report.ok:
+        failure = welfare_report.failure
+    return game_module.VugReport(
+        ok=welfare_report.ok and cond2_ok and cond3_ok,
+        welfare=welfare_report,
+        utility_dominates_marginal=cond2_ok,
+        utility_sum_bounded=cond3_ok,
+        utility_sum_tight=cond3_tight,
+        failure=failure,
+        profiles_checked=profiles,
+    )
 
 
 GRID = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0)
@@ -473,17 +533,117 @@ class TestCheckVugSharedEvaluations:
         game = al.gen_random_separable(n=6, max_resources=3, max_actions=3, seed=4,
                                        utility_choices=(utility,))
         calls = []
-        real = game_module.welfare_eval
+        real = game_module._Engine.value
 
-        def counting(g, a):
+        def counting(eng, ctx):
             calls.append(1)
-            return real(g, a)
+            return real(eng, ctx)
 
-        monkeypatch.setattr(game_module, "welfare_eval", counting)
+        # every welfare value, in both validators, is one kernel value() call
+        monkeypatch.setattr(game_module._Engine, "value", counting)
         al.check_submodular(game)
         in_submodular = len(calls)
         calls.clear()
-        report = al.check_vug(game)  # runs check_submodular, then the profile loop
+        report = al.check_vug(game)  # runs check_submodular, then the profile walk
         assert report.ok
         # W(a) and the n opt-out values: 7 per profile for 6 agents
         assert len(calls) - in_submodular == report.profiles_checked * (1 + game.n)
+
+
+def vug_outcome(game, check=al.check_vug, utility_fn=None):
+    """The repr of a check_vug-style report, or of the type and message of
+    what it raised (a NaN in a report compares unequal to itself)."""
+    try:
+        return repr(check(game, utility_fn=utility_fn))
+    except (al.ModelIncompleteError, al.SizeCapError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+def design_kind(game):
+    return "mixed" if len(set(game.utilities)) > 1 else game.utilities[0].value
+
+
+class TestCheckVugMatchesTheDirectScan:
+    def test_random_separable_games(self):
+        labels, designs = set(), set()
+        for seed in range(300):
+            game = random_separable_game(random.Random(seed))
+            assert vug_outcome(game) == vug_outcome(game, direct_scan_vug), seed
+            labels.update(game.compromise)
+            designs.add(design_kind(game))
+        assert labels == set(Compromise)
+        assert designs == {"mc", "es", "mixed"}
+
+    def test_random_tabulated_games(self):
+        raised = 0
+        for seed in range(300):
+            game = random_tabulated_game(random.Random(seed))
+            outcome = vug_outcome(game)
+            assert outcome == vug_outcome(game, direct_scan_vug), seed
+            raised += "ModelIncompleteError" in outcome
+        assert raised > 0
+
+    def test_holed_tables_raise_the_first_missing_entry(self):
+        messages = set()
+        for seed in range(60):
+            game = holed_table_game(seed, 1 + seed % 4, missing=0.3)
+            outcome = vug_outcome(game)
+            assert outcome == vug_outcome(game, direct_scan_vug), seed
+            if "no welfare table entry" in outcome:
+                messages.add(outcome)
+        assert len(messages) > 5
+
+    def test_families(self):
+        for game in family_games():
+            assert vug_outcome(game) == vug_outcome(game, direct_scan_vug)
+
+    def test_overflowing_welfare(self):
+        game = overflow_game()
+        outcomes = []
+        for fn in TestCheckVugSharedEvaluations.DESIGNS:
+            outcomes.append(vug_outcome(game, utility_fn=fn))
+            assert outcomes[-1] == vug_outcome(game, direct_scan_vug, fn)
+        # the doubled design's sum overflows where the welfare does not
+        assert "'utility_sum': inf, 'welfare': 1.5299999999999998e+308" in outcomes[2]
+
+    def test_equal_shares_add_up_in_resource_order(self):
+        # at this scale one ulp is 1.9e-9: adding the three shares in another
+        # order than W(a) adds the curves moves the sum off the welfare by
+        # more than the tolerance, and the sum condition is no longer tight
+        curves = ((0.0, 7940822.2), (0.0, 2951287.0), (0.0, 3601634.9))
+        game = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=curves),
+            action_sets=(({0, 1, 2},),),
+            utilities=(Utility.EQUAL_SHARE,),
+            compromise=(Compromise.NORMAL,),
+        )
+        report = al.check_vug(game)
+        assert report == direct_scan_vug(game)
+        assert report.utility_sum_tight
+
+    @pytest.mark.parametrize("design", range(len(TestCheckVugSharedEvaluations.DESIGNS)))
+    def test_utility_overrides(self, design):
+        fn = TestCheckVugSharedEvaluations.DESIGNS[design]
+        games = TestCheckVugSharedEvaluations.GAMES + [
+            random_separable_game(random.Random(seed)) for seed in range(40)
+        ] + [random_tabulated_game(random.Random(seed)) for seed in range(40)]
+        kinds = set()
+        for game in games:
+            outcome = vug_outcome(game, utility_fn=fn)
+            assert outcome == vug_outcome(game, direct_scan_vug, fn), game
+            kinds.update(k for k in ("utility-below-marginal", "utility-sum-exceeds-welfare")
+                         if k in outcome)
+        if design in (1, 2):
+            assert kinds
+
+    @given(
+        st.one_of(small_separable_games(), small_tabulated_games()),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, game, data):
+        if game.separable:
+            utilities = data.draw(st.lists(st.sampled_from(list(Utility)),
+                                           min_size=game.n, max_size=game.n))
+            game = dataclasses.replace(game, utilities=tuple(utilities))
+        assert vug_outcome(game) == vug_outcome(game, direct_scan_vug)

@@ -51,7 +51,6 @@ from .equilibrium import (
     instance_poa,
     is_pne,
     optimal_welfare,
-    subgame,
     theoretical_poa,
     worst_case_search,
 )
@@ -69,13 +68,11 @@ from .instances import (
     serialize,
 )
 from .learning import (
-    LearningState,
     LllRunResult,
     SweepResult,
     SweepRow,
     action_distribution,
     lll_run,
-    lll_step,
     random_play_baseline,
     sub_seed,
     temperature_sweep,

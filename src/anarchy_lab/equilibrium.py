@@ -16,7 +16,8 @@ contexts and candidate utilities through the game's evaluation kernel
 (``game._Engine``); the profile-level ``best_response_set`` and ``is_pne``
 evaluate the model's definitions directly and are the reference the tests
 hold the kernel to. Bound certificates value each term of a chain once,
-as a kernel context.
+as a kernel context; the (1+k) chain's residual game is the optimum
+search restricted to the blind agents' equilibrium actions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Optional
 
 from .game import (
     EMPTY_ACTION,
@@ -36,7 +37,6 @@ from .game import (
     JointAction,
     SeparableWelfare,
     SizeCapError,
-    TabulatedWelfare,
     Utility,
     _Engine,
     effective_utility,
@@ -61,7 +61,6 @@ __all__ = [
     "optimal_welfare",
     "theoretical_poa",
     "instance_poa",
-    "subgame",
     "check_bound_chain_general",
     "check_bound_chain_mc",
     "worst_case_search",
@@ -292,11 +291,11 @@ class _TermBounds:
     candidate touching r. A
     normal agent's utility for an action is a sum, in the order of the
     action's resource ids and starting from 0.0, of one float term per
-    resource, read off the curve at the number of other visible agents
-    selecting it: f(c+1) - f(c) for marginal contribution, f(c+1)/(c+1)
-    for equal share. Below a node that number lies between the count so
-    far, c, and c + rem[D][r], so the term lies between the smallest and
-    the largest float term over that window, which the tables hold. Float
+    resource: the kernel's ``terms[i][r][c]`` at the number c of other
+    visible agents selecting it. Below a node that number lies between the
+    count so far, c, and c + rem[D][r], so the term lies between the
+    smallest and the largest term over that window, which the tables
+    hold. Float
     addition is monotone in each operand, so summing the window minima
     (maxima) in the same order gives a float no larger (no smaller) than
     the utility the exact test computes at any profile below.
@@ -340,7 +339,6 @@ class _TermBounds:
             rem.append(row)
         rem.reverse()
         used = sorted(set().union(*(reach[i] for i in normal)))
-        curves = eng.curves
         # lo[i][D][r][c], hi[i][D][r][c]: extremes of agent i's term for
         # resource r over the counts c .. c + rem[D][r]
         self.lo, self.hi = [None] * n, [None] * n
@@ -350,11 +348,7 @@ class _TermBounds:
             if mc not in tables:
                 lo_d, hi_d = [[None] * m for _ in rem], [[None] * m for _ in rem]
                 for r in used:
-                    f = curves[r]
-                    if mc:
-                        terms = [f[c + 1] - f[c] for c in range(n)]
-                    else:
-                        terms = [f[c + 1] / (c + 1) for c in range(n)]
+                    terms = eng.terms[i][r]
                     lows, highs = [terms], [terms]
                     for _ in range(rem[0][r]):
                         lows.append(list(map(min, lows[-1], lows[-1][1:])))
@@ -617,69 +611,15 @@ def instance_poa(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> PoAReport:
 
 
 # ---------------------------------------------------------------------------
-# reduced game over the uncompromised agents
-
-
-def subgame(game: GameInstance, fixed: Mapping) -> GameInstance:
-    """The residual game among normal agents once every blind and isolated
-    agent has committed to an action.
-
-    ``fixed`` must assign an admissible action to each blind/isolated agent.
-    The residual welfare is the parent welfare gain over the committed blind
-    profile (isolated agents are invisible to the remaining agents, so only
-    blind commitments enter), tabulated over the base sets the remaining
-    agents can reach; it is normalized by construction. Utilities are
-    marginal contribution, as in the parent (which must be all-MC).
-    """
-    if any(u is not Utility.MARGINAL_CONTRIBUTION for u in game.utilities):
-        raise ValueError("the residual game is defined for marginal-contribution games")
-    free = set(game.agents_with(Compromise.BLIND, Compromise.ISOLATED))
-    if set(fixed) != free:
-        missing = sorted(free - set(fixed))
-        extra = sorted(set(fixed) - free)
-        raise ValueError(
-            f"fixed actions must cover exactly the blind/isolated agents "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    for i, act in fixed.items():
-        if frozenset(act) not in game.action_sets[i]:
-            raise ValueError(f"fixed action for agent {i} is not admissible")
-
-    blind = game.agents_with(Compromise.BLIND)
-    committed = tuple(
-        frozenset(fixed[i]) if i in blind else EMPTY_ACTION for i in range(game.n)
-    )
-    eng = game._engine
-    base = eng.context(committed)
-    base_welfare = eng.value(base)
-
-    keep = game.agents_with(Compromise.NORMAL)
-    # one phantom selection per resource of each base set the remaining
-    # agents can reach, on top of the committed blind profile (count-aware
-    # for separable parents)
-    table = {
-        subset: eng.value(eng.join(base, subset)) - base_welfare
-        for subset in eng.reachable(keep, base_sets=True)
-    }
-
-    return GameInstance(
-        welfare=TabulatedWelfare.from_mapping(table, game.num_resources),
-        action_sets=tuple(game.action_sets[i] for i in keep),
-        utilities=(Utility.MARGINAL_CONTRIBUTION,) * len(keep),
-        compromise=(Compromise.NORMAL,) * len(keep),
-    )
-
-
-# ---------------------------------------------------------------------------
 # bound-chain certificates
 
 
-def _validate_chain_inputs(game, a_ne, a_opt, cap):
+def _validate_chain_inputs(game, a_ne, a_opt):
     validate_joint_action(game, a_ne)
     validate_joint_action(game, a_opt, playable=False)
     if not is_pne(game, a_ne):
         raise ValueError("a_ne is not a pure Nash equilibrium of this game")
-    opt_w, _ = optimal_welfare(game, cap=cap)
+    opt_w, _ = optimal_welfare(game)
     if welfare_eval(game, a_opt) < opt_w - TOLERANCE:
         raise ValueError("a_opt is not welfare-optimal for this game")
 
@@ -706,7 +646,6 @@ def check_bound_chain_general(
     a_ne: JointAction,
     a_opt: JointAction,
     validate: bool = True,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> BoundChainCertificate:
     """Evaluate the (2+k)-factor worst-case chain on one instance.
 
@@ -719,7 +658,7 @@ def check_bound_chain_general(
     if game.agents_with(Compromise.DISABLED):
         raise ValueError("the chain is defined for games without disabled agents")
     if validate:
-        _validate_chain_inputs(game, a_ne, a_opt, cap)
+        _validate_chain_inputs(game, a_ne, a_opt)
 
     eng = game._engine
     n = eng.n
@@ -783,7 +722,6 @@ def check_bound_chain_mc(
     a_ne: JointAction,
     a_opt: JointAction,
     validate: bool = True,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> BoundChainCertificate:
     """Evaluate the (1+k)-factor chain for marginal-contribution games with
     at least one blind agent and no disabled agents.
@@ -800,7 +738,7 @@ def check_bound_chain_mc(
     if game.agents_with(Compromise.DISABLED):
         raise ValueError("the chain is defined for games without disabled agents")
     if validate:
-        _validate_chain_inputs(game, a_ne, a_opt, cap)
+        _validate_chain_inputs(game, a_ne, a_opt)
 
     eng = game._engine
     n = eng.n
@@ -826,8 +764,8 @@ def check_bound_chain_mc(
     # residual optimum: the normal agents' best joint action on top of the
     # blind agents' equilibrium actions
     size = math.prod(len(game.action_sets[i]) for i in normals)
-    if size > cap:
-        raise SizeCapError(f"{size} residual joint actions exceed the cap of {cap}")
+    if size > DEFAULT_ENUM_CAP:
+        raise SizeCapError(f"{size} residual joint actions exceed the cap of {DEFAULT_ENUM_CAP}")
     choices = [
         range(len(acts))
         if i in normals
@@ -890,6 +828,8 @@ def worst_case_search(config: SearchConfig):
         raise ValueError("k must not exceed n")
     if len(config.labels) != config.k:
         raise ValueError("labels must have one entry per compromised agent")
+    if Compromise.NORMAL in map(Compromise, config.labels):
+        raise ValueError("search config: labels must not be 'normal'")
     rng = random.Random(config.seed)
     best = None
     for _ in range(config.budget):

@@ -16,7 +16,9 @@ Each game builds one private evaluation kernel (``_Engine``) on first
 use. It is the single place that turns a profile into a *context*
 (selection counts, or the base set for tabulated welfare), a context into a
 welfare value, and a context into an agent's candidate utilities; the fast
-paths in ``equilibrium`` and ``learning`` all evaluate through it. The
+paths in ``equilibrium`` and ``learning`` all evaluate through it. It owns
+the per-resource utility terms of separable welfare, which its utilities,
+the enumeration's bounds and :func:`check_vug`'s equal shares read. The
 profile-level functions here (``marginal_contribution``, ``equal_share``,
 ``designed_utility``, ``effective_utility``) keep their definitions from
 the model and serve as the independent reference the kernel is tested
@@ -441,8 +443,19 @@ class _Engine:
         self.sees = [tuple(sorted(observed_set(game, i))) for i in range(game.n)]
         self.separable = game.separable
         if self.separable:
-            self.curves = game.welfare.curves
+            self.curves = curves = game.welfare.curves
             self.empty = (0,) * self.m  # the empty context
+            # terms[i][r][c]: agent i's utility term for resource r when c
+            # other agents select it, f(c+1) - f(c) for marginal contribution
+            # and f(c+1)/(c+1) for equal share; one table per utility kind
+            kinds = {
+                mc: [
+                    [f[c + 1] - f[c] if mc else f[c + 1] / (c + 1) for c in range(self.n)]
+                    for f in curves
+                ]
+                for mc in set(self.is_mc)
+            }
+            self.terms = [kinds[mc] for mc in self.is_mc]
         else:
             self.table = game.welfare.table
             self.empty = EMPTY_ACTION
@@ -470,15 +483,13 @@ class _Engine:
             counts[r] += 1
         return tuple(counts)
 
-    def reachable(self, agents, base_sets: bool = False) -> list:
+    def reachable(self, agents) -> list:
         """Every distinct context the actions of ``agents`` can form, in the
-        order first reached; as base sets whatever the welfare form if
-        ``base_sets``."""
-        empty, join = (EMPTY_ACTION, frozenset.union) if base_sets else (self.empty, self.join)
-        layer = {empty: None}
+        order first reached."""
+        layer = {self.empty: None}
         for j in agents:
             layer = dict.fromkeys(
-                join(ctx, act) for ctx in layer for act in self.actions[j]
+                self.join(ctx, act) for ctx in layer for act in self.actions[j]
             )
         return list(layer)
 
@@ -509,22 +520,13 @@ class _Engine:
             return [self.value(ctx | act) - base for act in self.actions[i]]
         for r in own:
             ctx[r] -= 1
-        curves = self.curves
+        terms = self.terms[i]
         out = []
-        if self.is_mc[i]:
-            for res in self.act_res[i]:
-                u = 0.0
-                for r in res:
-                    c = ctx[r]
-                    u += curves[r][c + 1] - curves[r][c]
-                out.append(u)
-        else:
-            for res in self.act_res[i]:
-                u = 0.0
-                for r in res:
-                    c = ctx[r] + 1
-                    u += curves[r][c] / c
-                out.append(u)
+        for res in self.act_res[i]:
+            u = 0.0
+            for r in res:
+                u += terms[r][ctx[r]]
+            out.append(u)
         for r in own:
             ctx[r] += 1
         return out
@@ -770,8 +772,9 @@ def check_vug(
                 u = marginal = w - opt_out(i)
             else:  # equal share, summed in sorted resource order
                 u = 0.0
+                terms = eng.terms[i]
                 for r in act_res[i][idxs[i]]:
-                    u += eng.curves[r][counts[r]] / counts[r]
+                    u += terms[r][counts[r] - 1]
             total += u
             if not cond2_ok:
                 continue

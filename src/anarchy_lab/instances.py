@@ -165,7 +165,9 @@ def gen_mc_blind(
     )
 
 
-def gen_mc_noblind(n: int, k: int, eps: float) -> GameInstance:
+def gen_mc_noblind(
+    n: int, k: int, eps: float, labels: Optional[Sequence] = None
+) -> GameInstance:
     """All-isolated marginal-contribution family with shadowed resources.
 
     Each isolated agent j < k exclusively shares a 1+eps resource with one
@@ -175,9 +177,12 @@ def gen_mc_noblind(n: int, k: int, eps: float) -> GameInstance:
     resources (they cannot see the isolated agents), so its welfare is
     k(1+eps) + (#remaining)·eps. The family's limiting ratio is reported, not
     asserted: with s = min(k, n-k-1) shadows it measures k/(k+s) as eps -> 0.
+    ``labels``, if given, must be k isolated labels.
     """
     if k < 1 or n < k + 2:
         raise ValueError("need k >= 1 and n >= k + 2")
+    if labels is not None and set(_labels_for(k, labels)) != {Compromise.ISOLATED}:
+        raise ValueError("this family takes isolated labels only")
     s = min(k, n - k - 1)
     r = n - k - s
     curves = [_step_curve(1.0 + eps, n) for _ in range(k)]
@@ -330,7 +335,7 @@ def gen_family(params: FamilyParams) -> GameInstance:
     if f == "mc_blind":
         return gen_mc_blind(params.n, params.k, params.eps, params.labels or None)
     if f == "mc_noblind":
-        return gen_mc_noblind(params.n, params.k, params.eps)
+        return gen_mc_noblind(params.n, params.k, params.eps, params.labels or None)
     if f == "sim":
         return gen_sim_game(params.n, params.k, params.eps, params.labels or None)
     if f == "fig1":

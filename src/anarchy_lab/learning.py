@@ -8,8 +8,8 @@ other actions held fixed. Runs are reproducible: a run is a pure function of
 their sub-seeds from the master seed by a fixed splitting scheme, so a trial's
 row does not depend on the other trials.
 
-``lll_run`` is one loop over local state that reproduces iterating
-:func:`lll_step` draw for draw:
+``lll_run`` is one loop over local state that draws, step for step, what
+an uncached per-step update with ``random.Random(seed)`` would draw:
 
 - the agent is drawn by rejection from ``getrandbits``, which is how
   CPython's ``Random.randrange`` draws it, so the random stream is the same;
@@ -17,8 +17,8 @@ row does not depend on the other trials.
   one per agent for an agent that sees nobody (blind and isolated agents),
   else one per agent, current action and visible counts it observes (only
   those of the resources its actions touch, for separable welfare). A
-  distribution holds the running sums ``_sample_index`` would form, so every
-  draw is the same;
+  distribution holds the running sums of its probabilities, so every draw
+  is the same;
 - the welfare is updated in place when the agent switches: separable
   welfare by the changes of the curves at the old action's resources, then
   the new action's, tabulated welfare by a table read whenever a count
@@ -45,12 +45,10 @@ from .game import (
 )
 
 __all__ = [
-    "LearningState",
     "LllRunResult",
     "SweepRow",
     "SweepResult",
     "action_distribution",
-    "lll_step",
     "lll_run",
     "temperature_sweep",
     "random_play_baseline",
@@ -60,15 +58,6 @@ __all__ = [
 # entries kept by one run's cache of sampling distributions before it is
 # emptied; a refill draws the same numbers, so this bounds memory only
 _CACHE_LIMIT = 1 << 16
-
-
-@dataclass
-class LearningState:
-    """Current profile, step counter, and the (shared, stateful) generator."""
-
-    current: JointAction
-    step: int
-    rng: random.Random
 
 
 @dataclass(frozen=True)
@@ -143,9 +132,7 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# shared arithmetic (the reference step and the trajectory loop must agree
-# bit-for-bit, so both take utilities from the game's evaluation kernel and
-# sample through these helpers)
+# shared arithmetic (utilities come from the game's evaluation kernel)
 
 
 def _updatable(game: GameInstance):
@@ -167,18 +154,9 @@ def _softmax(utilities, T: float):
     return [w / total for w in weights]
 
 
-def _sample_index(probs, r: float) -> int:
-    acc = 0.0
-    for j, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return j
-    return len(probs) - 1
-
-
 def _draw(cum, r: float) -> int:
-    """``_sample_index(probs, r)`` given the running sums ``cum`` of
-    ``probs``: the first index whose sum exceeds r, else the last."""
+    """The action drawn by ``r`` given the running sums ``cum`` of the
+    probabilities: the first index whose sum exceeds r, else the last."""
     j = bisect.bisect_right(cum, r)
     return j if j < len(cum) else j - 1
 
@@ -192,18 +170,6 @@ def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
     _check_temperature(T)
     eng = game._engine
     return _softmax(eng.utilities(i, eng.context(a, eng.sees[i])), T)
-
-
-def lll_step(game: GameInstance, state: LearningState, T: float) -> LearningState:
-    """One asynchronous update: a uniformly chosen non-disabled agent
-    resamples its action from the softmax of its effective utilities."""
-    _check_temperature(T)
-    upd = _updatable(game)
-    i = upd[state.rng.randrange(len(upd))]
-    probs = action_distribution(game, i, state.current, T)
-    j = _sample_index(probs, state.rng.random())
-    new = state.current[:i] + (game.action_sets[i][j],) + state.current[i + 1 :]
-    return LearningState(current=new, step=state.step + 1, rng=state.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +187,11 @@ def lll_run(
 ) -> LllRunResult:
     """Run the dynamics for ``steps`` updates and summarize the welfare.
 
-    Equivalent to iterating :func:`lll_step` from ``a0`` (default: everyone
-    opted out) with ``random.Random(seed)``, but with the welfare maintained
-    incrementally. Statistics cover the steps after ``burn_in``; the trace,
-    when kept, covers all steps.
+    Each step a uniformly chosen non-disabled agent resamples its action
+    from the softmax of its effective utilities, from ``a0`` (default:
+    everyone opted out) with ``random.Random(seed)``; the welfare is
+    maintained incrementally. Statistics cover the steps after ``burn_in``;
+    the trace, when kept, covers all steps.
     """
     _check_temperature(T)
     return _play(game, T, steps, seed, a0, burn_in, keep_trace)

@@ -48,6 +48,24 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("k, labels", [(1, "blind"), (1, "disabled"), (2, "isolated,blind")])
+    def test_mc_noblind_takes_isolated_labels_only(self, k, labels, tmp_path, capsys):
+        # the family is all-isolated: it used to write isolated agents
+        # whatever the labels asked for
+        out = tmp_path / "g.json"
+        code, stdout, err = run(
+            capsys, "gen", "--family", "mc_noblind", "--n", "5", "--k", str(k),
+            "--labels", labels, "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", "error: this family takes isolated labels only\n")
+        assert not out.exists()
+        code, _, _ = run(
+            capsys, "gen", "--family", "mc_noblind", "--n", "5", "--k", str(k),
+            "--labels", "isolated", "--out", str(out),
+        )
+        assert code == 0
+        assert al.parse(out.read_text()).agents_with(al.Compromise.ISOLATED) == tuple(range(k))
+
     def test_stdout_output_is_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "gen", "--family", "random", "--n", "4", "--seed", "5")
         code2, out2, _ = run(capsys, "gen", "--family", "random", "--n", "4", "--seed", "5")
@@ -283,6 +301,26 @@ class TestAnalysis:
         mixes = [line.split()[1] for line in out.splitlines()[2:]]
         assert mixes == ["isolated", "isolated,isolated", "isolated,isolated,isolated"]
 
+    def test_bounds_mc_noblind_rejects_a_blind_label(self, tmp_path, capsys):
+        # the row used to read blind while the game analysed was all-isolated
+        report = tmp_path / "bounds.json"
+        code, out, err = run(
+            capsys, "bounds", "--family", "mc_noblind", "--n", "5", "--k", "1",
+            "--labels", "blind", "--json", str(report),
+        )
+        assert (code, out, err) == (2, "", "error: this family takes isolated labels only\n")
+        assert not report.exists()
+
+    def test_bounds_mc_noblind_relabels_to_disabled(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--family", "mc_noblind", "--n", "5", "--k", "1..2",
+            "--labels", "disabled",
+        )
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [row[1] for row in rows] == ["disabled", "disabled,disabled"]
+        assert [row[3] for row in rows] == ["0", "0"]  # the bound with a disabled agent
+
     def test_gen_still_takes_normal_labels(self, tmp_path, capsys):
         out = tmp_path / "fig1.json"
         code, _, _ = run(
@@ -337,10 +375,12 @@ class TestSearch:
             {"n": 3, "value_grid": [1.0, None]},
             {"n": 3, "value_grid": [1.0], "budget": 0},
             {"n": 3, "value_grid": [1.0], "labels": "blind"},
+            # a normal label used to run with nobody compromised, exit 0
+            {"n": 3, "k": 1, "labels": ["normal"], "value_grid": [1.0], "budget": 5},
         ],
         ids=[
             "lacks-n", "not-an-object", "string-n", "boolean-n", "empty-grid",
-            "null-in-grid", "zero-budget", "labels-not-a-list",
+            "null-in-grid", "zero-budget", "labels-not-a-list", "normal-label",
         ],
     )
     def test_bad_config_exits_two_with_an_error(self, tmp_path, capsys, config):

@@ -645,51 +645,6 @@ class TestInstancePoa:
         assert report.pne_count == 0
 
 
-class TestSubgame:
-    def test_all_empty_commitment_reproduces_parent_welfare(self):
-        g = al.gen_mc_blind(4, 2, 0.01)
-        fixed = {i: frozenset() for i in g.compromised}
-        sub = al.subgame(g, fixed)
-        assert sub.n == 2
-        # residual welfare of the normal agents' selections equals the parent
-        # welfare of the same base set
-        for a in al.all_profiles(sub):
-            key = al.base_set(a)
-            parent_profile = (frozenset(), frozenset(), *a)
-            assert al.welfare_eval(sub, a) == pytest.approx(
-                al.welfare_eval(g, parent_profile), abs=1e-12
-            )
-
-    def test_committed_shared_resource_has_no_residual_value(self):
-        g = al.gen_mc_blind(6, 3, 0.01)
-        fixed = {i: frozenset({0}) for i in g.compromised}
-        sub = al.subgame(g, fixed)
-        # the shared resource is already paid for by the committed profile
-        assert al.welfare_eval(sub, tuple(frozenset({0}) for _ in range(3))) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_output_is_submodular_and_normalized(self):
-        cases = [
-            (al.gen_mc_blind(4, 2, 0.05), {0: frozenset({0}), 1: frozenset({2})}),
-            (al.gen_mc_blind(4, 2, 0.05), {0: frozenset(), 1: frozenset({0})}),
-        ]
-        for game, fixed in cases:
-            sub = al.subgame(game, fixed)
-            assert al.welfare_eval(sub, al.empty_profile(sub)) == 0.0
-            assert al.check_submodular(sub).ok
-
-    def test_incomplete_fixed_rejected(self):
-        g = al.gen_mc_blind(4, 2, 0.01)
-        with pytest.raises(ValueError, match="missing"):
-            al.subgame(g, {0: frozenset({0})})
-
-    def test_equal_share_parent_rejected(self):
-        g = al.gen_k_blind(3, 1, 0.01, 0.01)
-        with pytest.raises(ValueError):
-            al.subgame(g, {0: frozenset({0})})
-
-
 def chain_inputs(game):
     report = al.instance_poa(game)
     assert report.ratio is not None
@@ -714,7 +669,6 @@ def reference_chain_general(
     a_ne: JointAction,
     a_opt: JointAction,
     validate: bool = True,
-    cap: int = equilibrium.DEFAULT_ENUM_CAP,
 ) -> al.BoundChainCertificate:
     """Oracle for ``check_bound_chain_general``: every term is built as a
     profile and valued by the profile-level definitions.
@@ -730,7 +684,7 @@ def reference_chain_general(
     if game.agents_with(Compromise.DISABLED):
         raise ValueError("the chain is defined for games without disabled agents")
     if validate:
-        equilibrium._validate_chain_inputs(game, a_ne, a_opt, cap)
+        equilibrium._validate_chain_inputs(game, a_ne, a_opt)
 
     n = game.n
     comp = set(game.compromised)
@@ -821,7 +775,6 @@ def reference_chain_mc(
     a_ne: JointAction,
     a_opt: JointAction,
     validate: bool = True,
-    cap: int = equilibrium.DEFAULT_ENUM_CAP,
 ) -> al.BoundChainCertificate:
     """Oracle for ``check_bound_chain_mc``, in the same style.
 
@@ -840,7 +793,7 @@ def reference_chain_mc(
     if game.agents_with(Compromise.DISABLED):
         raise ValueError("the chain is defined for games without disabled agents")
     if validate:
-        equilibrium._validate_chain_inputs(game, a_ne, a_opt, cap)
+        equilibrium._validate_chain_inputs(game, a_ne, a_opt)
 
     n = game.n
     comp = set(game.compromised)
@@ -867,6 +820,7 @@ def reference_chain_mc(
     size = 1
     for i in normals:
         size *= len(game.action_sets[i])
+    cap = equilibrium.DEFAULT_ENUM_CAP
     if size > cap:
         raise al.SizeCapError(f"{size} residual joint actions exceed the cap of {cap}")
     eng = game._engine
@@ -1226,6 +1180,22 @@ class TestWorstCaseSearch:
         )
         _, report = al.worst_case_search(config)
         assert report.ratio >= 0.5 - al.TOLERANCE
+
+    @pytest.mark.parametrize("labels", [(Compromise.NORMAL,), ("normal",)])
+    def test_a_normal_label_is_rejected(self, labels):
+        # a normal "compromised" agent would leave the sampled games with
+        # nobody compromised while the report reads k=1
+        config = al.SearchConfig(
+            n=3,
+            k=1,
+            labels=labels,
+            utility_class=UtilityClass.GENERAL_VUG,
+            value_grid=(0.5, 1.0),
+            budget=5,
+            seed=0,
+        )
+        with pytest.raises(ValueError, match="must not be 'normal'"):
+            al.worst_case_search(config)
 
 
 class TestEquilibriumSetAccessors:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise
+from test_equilibrium import coverage_game
 
 
 def hub_ratio_formula(n, k, eps, delta):
@@ -187,9 +188,7 @@ class TestSerialization:
         for seed in range(5):
             yield al.gen_random_separable(n=4, max_resources=3, max_actions=3, seed=seed)
         # a tabulated instance as well
-        yield al.subgame(
-            al.gen_mc_blind(4, 2, 0.01), {0: frozenset({0}), 1: frozenset({2})}
-        )
+        yield coverage_game(5, 4, [Compromise.BLIND, Compromise.ISOLATED])
 
     def test_round_trip_is_lossless(self):
         for game in self.all_generator_outputs():
@@ -244,7 +243,7 @@ JSON_VALUES = st.recursive(
 
 SEED_DOCUMENTS = (
     al.serialize(al.gen_k_blind(3, 1, 0.01, 0.01)),
-    al.serialize(al.subgame(al.gen_mc_blind(3, 1, 0.01), {0: frozenset({0})})),
+    al.serialize(coverage_game(0, 2)),
 )
 
 

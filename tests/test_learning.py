@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility
 from anarchy_lab import learning
-from anarchy_lab.learning import LearningState, _draw, _sample_index, _softmax
+from anarchy_lab.learning import _draw, _softmax
 
 
 def two_action_game(v0, v1):
@@ -72,7 +72,7 @@ class TestActionDistribution:
     @settings(max_examples=100, deadline=None)
     def test_sampling_always_picks_a_valid_index(self, r):
         probs = [0.2, 0.3, 0.5]
-        assert 0 <= _sample_index(probs, r) < 3
+        assert 0 <= sample_index(probs, r) < 3
 
 
     @given(
@@ -86,54 +86,55 @@ class TestActionDistribution:
         edges = [0.0, 1.0 - 2.0**-53] + cum
         for r in edges + [math.nextafter(x, 0.0) for x in edges]:
             if 0.0 <= r < 1.0:
-                assert _draw(cum, r) == _sample_index(probs, r)
+                assert _draw(cum, r) == sample_index(probs, r)
 
     def test_draw_past_a_total_below_one_takes_the_last_action(self):
         probs = _softmax([0.0] * 7, 1.0)
         cum = list(itertools.accumulate(probs))
         assert cum[-1] < 1.0 - 2.0**-53
-        assert _draw(cum, 1.0 - 2.0**-53) == _sample_index(probs, 1.0 - 2.0**-53) == 6
+        assert _draw(cum, 1.0 - 2.0**-53) == sample_index(probs, 1.0 - 2.0**-53) == 6
 
 
 class TestStep:
     def test_step_matches_runner_exactly(self):
+        # the welfare of every profile of the per-step reference, valued
+        # afresh, is the runner's incrementally kept trace
         g = al.gen_sim_game(
             6, 5, 0.05, labels=[Compromise.ISOLATED, Compromise.BLIND] * 2 + [Compromise.BLIND]
         )
         steps = 1500
         result = al.lll_run(g, T=0.02, steps=steps, seed=99, keep_trace=True)
-        state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(99))
-        for k in range(steps):
-            state = al.lll_step(g, state, 0.02)
-            assert abs(al.welfare_eval(g, state.current) - result.trace[k]) <= 1e-9
-        assert state.current == result.final
-        assert state.step == steps
+        walk = reference_walk(g, 99, softmax_choice(g, 0.02))
+        for k, (_, current) in enumerate(itertools.islice(walk, steps)):
+            assert abs(al.welfare_eval(g, current) - result.trace[k]) <= 1e-9
+        assert current == result.final
 
     def test_disabled_agents_never_update(self):
+        # resource 0 adds 1 to the welfare whenever the disabled agent holds it
         g = al.GameInstance(
             welfare=al.SeparableWelfare(curves=((0.0, 1.0, 1.0), (0.0, 1.0, 1.0))),
             action_sets=((frozenset({0}),), (frozenset({1}),)),
             utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
             compromise=(Compromise.DISABLED, Compromise.NORMAL),
         )
-        state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
-        for _ in range(200):
-            state = al.lll_step(g, state, 0.5)
-            assert state.current[0] == frozenset()
+        for T in (0.5, 100.0):
+            result = al.lll_run(g, T, steps=200, seed=0, keep_trace=True)
+            assert result.final[0] == frozenset()
+            assert max(result.trace) == 1.0
 
     def test_rejects_nonpositive_temperature(self):
         g = two_action_game(0.1, 0.9)
-        state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
-        with pytest.raises(ValueError):
-            al.lll_step(g, state, 0.0)
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                al.lll_run(g, T, steps=10, seed=0)
+            with pytest.raises(ValueError):
+                al.action_distribution(g, 0, al.empty_profile(g), T)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_rejects_non_finite_temperature(self, T):
         g = two_action_game(0.1, 0.9)
-        state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
         for call in (
-            lambda: al.lll_step(g, state, T),
-            lambda: al.action_distribution(g, 0, state.current, T),
+            lambda: al.action_distribution(g, 0, al.empty_profile(g), T),
             lambda: al.lll_run(g, T, steps=10, seed=0),
             lambda: al.temperature_sweep(g, [1.0, T], steps=10, trials=1, seed=0),
         ):
@@ -170,10 +171,11 @@ class TestRun:
         assert res.mean_welfare == pytest.approx(w, abs=0.01)
 
     def test_works_on_tabulated_games(self):
-        parent = al.gen_mc_blind(4, 2, 0.05)
-        sub = al.subgame(parent, {0: frozenset({0}), 1: frozenset({2})})
-        res = al.lll_run(sub, T=0.01, steps=500, seed=1)
+        labels = [Compromise.BLIND, Compromise.NORMAL, Compromise.NORMAL]
+        g = coverage_game(random.Random(1), labels)
+        res = al.lll_run(g, T=0.01, steps=500, seed=1)
         assert res.mean_welfare >= 0.0
+        assert res == reference_lll_run(g, T=0.01, steps=500, seed=1)
 
 
 class TestSweep:
@@ -265,11 +267,8 @@ def test_all_disabled_game_is_refused_with_its_cause(separable):
         utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
         compromise=(Compromise.DISABLED,) * 2,
     )
-    state = LearningState(current=al.empty_profile(g), step=0, rng=random.Random(0))
     with pytest.raises(ValueError, match="disabled"):
         al.lll_run(g, T=0.1, steps=10, seed=0)
-    with pytest.raises(ValueError, match="disabled"):
-        al.lll_step(g, state, T=0.1)
     with pytest.raises(ValueError, match="disabled"):
         al.random_play_baseline(g, steps=10, seed=0)
 
@@ -281,7 +280,7 @@ LABELS = (Compromise.NORMAL, Compromise.BLIND, Compromise.ISOLATED, Compromise.D
 
 
 def reference_walk(game, seed, choose, a0=None):
-    """Single-agent updates without any cache, as lll_step makes them: each
+    """Single-agent updates without any cache, one plain step at a time: each
     step draws the agent with ``rng.randrange`` and its action index with
     ``choose(rng, i, current)``, then yields the welfare and the profile.
     Separable welfare is summed incrementally, the old action's resources in
@@ -315,10 +314,21 @@ def reference_walk(game, seed, choose, a0=None):
         yield (w if game.separable else al.welfare_eval(game, current)), current
 
 
+def sample_index(probs, r):
+    """The inverse-CDF draw: the first index at which the running sum of
+    ``probs`` exceeds r, else the last."""
+    acc = 0.0
+    for j, p in enumerate(probs):
+        acc += p
+        if r < acc:
+            return j
+    return len(probs) - 1
+
+
 def softmax_choice(game, T):
-    """lll_step's action draw: agent i's distribution from
-    action_distribution, sampled with _sample_index."""
-    return lambda rng, i, current: _sample_index(
+    """The per-step action draw: agent i's distribution from
+    action_distribution, sampled with sample_index."""
+    return lambda rng, i, current: sample_index(
         al.action_distribution(game, i, current, T), rng.random()
     )
 

@@ -4,7 +4,8 @@ Subcommands: gen, check, pne, poa, bounds, search, lll. Every run is fully
 determined by its arguments, input files and seeds; numeric output uses
 full-precision reprs for values and 6 significant digits in tables, so
 outputs are byte-stable. Exit codes: 0 success, 2 validation failure,
-3 size-cap refusal, 4 bound violation detected.
+3 work-cap refusal (a search would pass its budget of branches or, for
+check, profiles; see ``SizeCapError``), 4 bound violation detected.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import equilibrium as eq
 from . import instances as inst
 from . import learning
 from .game import (
-    DEFAULT_CHECK_CAP,
     Compromise,
     GameInstance,
     ModelIncompleteError,
@@ -86,7 +86,9 @@ def _parse_labels(spec: Optional[str], k: int):
     """'blind' applies to every compromised agent; or a comma list of k."""
     if spec is None:
         return None
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
+    parts = [p.strip() for p in spec.split(",")]
+    if not all(parts):
+        raise ValueError(f"label list {spec!r} has an empty item")
     if len(parts) == 1 and k != 1:
         parts = parts * k
     return tuple(Compromise(p) for p in parts)
@@ -169,7 +171,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     game = _read_instance(args.instance)
-    vug = check_vug(game, cap=args.cap)
+    vug = check_vug(game)
     sub = vug.welfare
     print(f"agents: {game.n}  resources: {game.num_resources}")
     print(f"welfare submodular/nondecreasing/normalized: {_cell(sub.ok)}")
@@ -186,7 +188,7 @@ def cmd_check(args) -> int:
 
 def cmd_pne(args) -> int:
     game = _read_instance(args.instance)
-    eqs = eq.enumerate_pne(game, cap=args.cap)
+    eqs = eq.enumerate_pne(game)
     rows = [
         (idx, w, json.dumps(_profile_json(p)))
         for idx, (p, w) in enumerate(zip(eqs.profiles, eqs.welfares))
@@ -221,7 +223,7 @@ def _poa_doc(report: eq.PoAReport) -> dict:
 
 def cmd_poa(args) -> int:
     game = _read_instance(args.instance)
-    report = eq.instance_poa(game, cap=args.cap)
+    report = eq.instance_poa(game)
     print(f"optimal welfare:     {_value(report.opt_welfare)}")
     print(f"equilibria found:    {report.pne_count}")
     if report.ratio is None:
@@ -304,7 +306,7 @@ def cmd_bounds(args) -> int:
             if not plain:
                 compromise = tuple(labels) + (Compromise.NORMAL,) * (args.n - k)
                 game = dataclasses.replace(game, compromise=compromise)
-            report = eq.instance_poa(game, cap=args.cap)
+            report = eq.instance_poa(game)
             chains = _chains_ok(game, report)
             mix = ",".join(l.value for l in labels) if labels else "-"
             rows.append(
@@ -392,7 +394,7 @@ def cmd_lll(args) -> int:
     temps = _parse_temps(args.temps)
     a0 = None
     if args.init == "worst-ne":
-        eqs = eq.enumerate_pne(game, cap=args.cap)
+        eqs = eq.enumerate_pne(game)
         worst = eqs.worst()
         if worst is None:
             print("no equilibrium to start from", file=sys.stderr)
@@ -453,18 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CHECK_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pne", help="enumerate all pure Nash equilibria")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)
     p.add_argument("--json", help="write a JSON report here")
     p.set_defaults(func=cmd_pne)
 
     p = sub.add_parser("poa", help="anarchy ratio against the class bound")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)
     p.add_argument("--json", help="write a JSON report here")
     p.set_defaults(func=cmd_poa)
 
@@ -477,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="one label for every k (e.g. 'disabled'), or a list of k")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)
     p.add_argument("--json", help="write a JSON report here")
     p.set_defaults(func=cmd_bounds)
 
@@ -495,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=0)
     p.add_argument("--init", choices=("empty", "worst-ne"), default="empty")
-    p.add_argument("--cap", type=int, default=eq.DEFAULT_ENUM_CAP)
     p.add_argument("--out", help="write the CSV here")
     p.set_defaults(func=cmd_lll)
 

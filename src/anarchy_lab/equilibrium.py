@@ -93,20 +93,14 @@ class EquilibriumSet:
         """(welfare, profile) of the worst equilibrium; first among ties."""
         if self.is_empty:
             return None
-        idx = 0
-        for i in range(1, len(self.welfares)):
-            if self.welfares[i] < self.welfares[idx]:
-                idx = i
+        idx = min(range(len(self.welfares)), key=self.welfares.__getitem__)
         return self.welfares[idx], self.profiles[idx]
 
     def best(self):
         """(welfare, profile) of the best equilibrium; first among ties."""
         if self.is_empty:
             return None
-        idx = 0
-        for i in range(1, len(self.welfares)):
-            if self.welfares[i] > self.welfares[idx]:
-                idx = i
+        idx = max(range(len(self.welfares)), key=self.welfares.__getitem__)
         return self.welfares[idx], self.profiles[idx]
 
 
@@ -193,12 +187,10 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     not be submodular, is searched without either, and runs each agent's
     test once per action and observed base set. Every profile reached
     runs the scan's exact test for the normal agents still undecided, with
-    the same floats, so the result equals the scan's. Games whose joint
-    action space exceeds ``cap`` are refused with SizeCapError.
+    the same floats, so the result equals the scan's. SizeCapError once
+    more than ``cap`` branches end, on complete profiles or cut subtrees:
+    disjoint sets of profiles, so no game of at most ``cap`` profiles is refused.
     """
-    size = joint_space_size(game)
-    if size > cap:
-        raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
     eng = game._engine
     n = eng.n
 
@@ -227,7 +219,7 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     passes = {}  # tabulated welfare: (agent, action, observed base set) -> test
     profiles = []
     welfares = []
-    nodes = pruned = 0
+    nodes = pruned = ends = 0
     d = 0
     while d >= 0:
         p = pos[d]
@@ -253,12 +245,16 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
         still = normal
         if bounds is not None:
             still = bounds.open_after(d, undecided[d], idxs, vis)
-            if still is None:
-                pruned += 1
-                continue
-        if d + 1 < n:
+        if still is not None and d + 1 < n:
             undecided[d + 1] = still
             d += 1
+            continue
+        # a branch ends here, on a complete profile or a subtree cut whole
+        ends += 1
+        if ends > cap:
+            raise SizeCapError(f"equilibrium search ended {ends} branches, past the cap {cap}")
+        if still is None:
+            pruned += 1
             continue
         a = tuple(acts)
         for i in still:
@@ -415,15 +411,11 @@ def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
     every profile, yet returns what a full scan would: the largest welfare
     as the profile evaluation computes it in floating point, and the
     lexicographically first profile reaching it (agent index, then action
-    index), even where two sums differ in the last bit only. Games whose
-    joint action space exceeds ``cap`` are refused with SizeCapError, as in
-    :func:`enumerate_pne`.
+    index), even where two sums differ in the last bit only. SizeCapError
+    once a pass has more than ``cap`` branches, as in :func:`enumerate_pne`.
     """
-    size = joint_space_size(game)
-    if size > cap:
-        raise SizeCapError(f"{size} joint actions exceed the cap of {cap}")
     eng = game._engine
-    best, idxs = _best_profile(eng, [range(len(acts)) for acts in eng.actions])
+    best, idxs = _best_profile(eng, [range(len(acts)) for acts in eng.actions], cap)
     return best, eng.profile(idxs)
 
 
@@ -435,11 +427,14 @@ def _flat_from(curve) -> int:
     return t
 
 
-def _best_profile(eng: _Engine, choices):
+def _best_profile(eng: _Engine, choices, cap: int = DEFAULT_ENUM_CAP):
     """(value, indices) of the lexicographically first profile maximizing
     the welfare of ``eng.profile(indices)`` when agent i plays one of the action indices
     ``choices[i]`` (in increasing order) — bit for bit what a scan of every
-    profile keeping the first strictly better one returns."""
+    profile keeping the first strictly better one returns. SizeCapError
+    once a pass has more than ``cap`` branches: one plus each expanded
+    state's or node's choices beyond the first, never more than the
+    profiles ``choices`` spans (a layer has no more states than prefixes)."""
     # A resource is settled once the last agent able to select it has
     # moved; its value is then folded in. Counts are clipped where a curve
     # turns float-constant, which changes no welfare value. A table reads
@@ -470,7 +465,11 @@ def _best_profile(eng: _Engine, choices):
     zero = (0,) * m
     moves = []
     states = {zero: None}
+    branches = 1
     for i, cand in enumerate(choices):
+        branches += len(states) * (len(cand) - 1)
+        if branches > cap:
+            raise SizeCapError(f"optimum DP reached {branches} branches, past the cap {cap}")
         layer = {}
         for state in states:
             row = []
@@ -511,6 +510,7 @@ def _best_profile(eng: _Engine, choices):
     best_idxs = None
     seen = set()
     stack = [(0, zero, 0.0, zero, ())]
+    branches = 1
     while stack:
         depth, state, folded, full, idxs = stack.pop()
         key = (depth, full)
@@ -523,9 +523,13 @@ def _best_profile(eng: _Engine, choices):
                 best = w
                 best_idxs = idxs
             continue
+        row = moves[depth][state]
+        branches += len(row) - 1
+        if branches > cap:
+            raise SizeCapError(f"optimum DFS reached {branches} branches, past the cap {cap}")
         after = bound[depth + 1]
         children = []
-        for j, gain, nxt in moves[depth][state]:
+        for j, gain, nxt in row:
             if folded + gain + after[nxt] < floor:
                 continue
             counts = list(full)
@@ -763,9 +767,6 @@ def check_bound_chain_mc(
 
     # residual optimum: the normal agents' best joint action on top of the
     # blind agents' equilibrium actions
-    size = math.prod(len(game.action_sets[i]) for i in normals)
-    if size > DEFAULT_ENUM_CAP:
-        raise SizeCapError(f"{size} residual joint actions exceed the cap of {DEFAULT_ENUM_CAP}")
     choices = [
         range(len(acts))
         if i in normals
@@ -823,6 +824,8 @@ def worst_case_search(config: SearchConfig):
     Returns (game, report) of the worst instance found; candidates with an
     undefined ratio (no equilibrium or zero optimum) are skipped; ValueError
     if every candidate was. Best-effort and deterministic given the seed.
+    A candidate of more than ``DEFAULT_ENUM_CAP`` profiles is skipped
+    unanalysed, since a fifth to a half of a sample's profiles are equilibria.
     """
     if config.k > config.n:
         raise ValueError("k must not exceed n")
@@ -834,10 +837,9 @@ def worst_case_search(config: SearchConfig):
     best = None
     for _ in range(config.budget):
         game = _sample_candidate(config, rng)
-        try:
-            report = instance_poa(game)
-        except SizeCapError:
+        if joint_space_size(game) > DEFAULT_ENUM_CAP:
             continue
+        report = instance_poa(game)
         if report.ratio is None:
             continue
         if best is None or report.ratio < best[1].ratio:

@@ -92,7 +92,9 @@ class UnsupportedUtilityError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """The joint action space exceeds the configured exhaustive-search cap."""
+    """A search would pass its work cap: more branches than the
+    equilibrium and optimum searches' budget, or more profiles than a
+    validator's walk admits. The message names the search and its count."""
 
 
 class Utility(Enum):
@@ -578,17 +580,16 @@ class VugReport:
     profiles_checked: int
 
 
-def _require_cap(game: GameInstance, cap: int) -> None:
-    size = joint_space_size(game)
+def _require_cap(game: GameInstance) -> None:
+    size, cap = joint_space_size(game), DEFAULT_CHECK_CAP
     if size > cap:
-        raise SizeCapError(
-            f"joint action space has {size} profiles, above the cap of {cap}"
-        )
+        raise SizeCapError(f"joint action space has {size} profiles, above the cap of {cap}")
 
 
-def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> SubmodularityReport:
-    """Exhaustively verify that the welfare is submodular, nondecreasing and
-    normalized over the admissible profile space.
+def check_submodular(game: GameInstance) -> SubmodularityReport:
+    """Exhaustively verify that the welfare is submodular and nondecreasing
+    over the admissible profile space; the constructor already guarantees
+    W(∅) = 0.
 
     Contexts are deduplicated by what the welfare actually depends on
     (per-resource counts for separable welfare, base sets for tabulated), and
@@ -597,10 +598,12 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
     and once per agent for all its actions; a context's list is walked pair
     by pair only when its extreme value shows a violation, so the report
     names the first violating pair of a plain pair scan and counts the pairs
-    such a scan compares. Refuses games whose joint action space exceeds
-    ``cap``.
+    such a scan compares. A table with no entry for a base set the agents
+    can form, ∅ included, gives a ``table-missing`` report. Refuses games
+    with more than ``DEFAULT_CHECK_CAP`` profiles, since
+    :func:`check_vug` walks every one.
     """
-    _require_cap(game, cap)
+    _require_cap(game)
     eng = game._engine
     separable = game.separable
     contexts_checked = pairs_checked = 0
@@ -608,10 +611,6 @@ def check_submodular(game: GameInstance, cap: int = DEFAULT_CHECK_CAP) -> Submod
     def failed(kind, message, witness=None) -> SubmodularityReport:
         finding = CheckFinding(kind, message, witness)
         return SubmodularityReport(False, finding, contexts_checked, pairs_checked)
-
-    w0 = welfare_eval(game, empty_profile(game))
-    if abs(w0) > TOLERANCE:
-        return failed("normalization", f"W(empty) = {w0!r}, expected 0", {"value": w0})
 
     # one integer per context, a field per resource holding its count (0/1
     # in a base set) under a guard bit: b is above s exactly when no field of
@@ -698,11 +697,7 @@ def _describe_key(key, separable: bool):
     return {"base_set": sorted(key)}
 
 
-def check_vug(
-    game: GameInstance,
-    cap: int = DEFAULT_CHECK_CAP,
-    utility_fn: Optional[Callable] = None,
-) -> VugReport:
+def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugReport:
     """Verify the valid-utility-game conditions for the assigned utilities.
 
     Checks, over every admissible profile, that each agent's utility is at
@@ -716,7 +711,7 @@ def check_vug(
     selection-count list updated as each agent's action is entered and left,
     so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats.
     """
-    welfare_report = check_submodular(game, cap=cap)  # refuses above the cap
+    welfare_report = check_submodular(game)  # refuses above the cap
     eng = game._engine
     n, separable, value, act_res = eng.n, eng.separable, eng.value, eng.act_res
 

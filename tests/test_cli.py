@@ -66,6 +66,18 @@ class TestGen:
         assert code == 0
         assert al.parse(out.read_text()).agents_with(al.Compromise.ISOLATED) == tuple(range(k))
 
+    @pytest.mark.parametrize("labels", [",", "isolated,,isolated", "blind,"])
+    def test_an_empty_label_is_rejected(self, labels, tmp_path, capsys):
+        # the empty items used to be dropped: "," wrote two blind agents
+        out = tmp_path / "g.json"
+        code, stdout, err = run(
+            capsys, "gen", "--family", "k_blind", "--n", "4", "--k", "2",
+            "--labels", labels, "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: label list {labels!r} has an empty item\n"
+        assert not out.exists()
+
     def test_stdout_output_is_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "gen", "--family", "random", "--n", "4", "--seed", "5")
         code2, out2, _ = run(capsys, "gen", "--family", "random", "--n", "4", "--seed", "5")
@@ -235,10 +247,40 @@ class TestAnalysis:
         assert doc["ratio"] == pytest.approx(1.01 / 3.01, abs=1e-12)
         assert doc["bound_satisfied"] is True
 
-    def test_size_cap_exit_code(self, instance, capsys):
-        code, _, err = run(capsys, "poa", "--instance", instance, "--cap", "2")
-        assert code == 3
-        assert "cap" in err
+    def test_size_cap_exit_code(self, tmp_path, capsys):
+        # check walks every profile: 3^12 * 2 of them is past its cap
+        path = str(tmp_path / "k13.json")
+        assert run(capsys, "gen", "--family", "k_blind", "--n", "13", "--k", "1", "--out", path)[0] == 0
+        code, out, err = run(capsys, "check", "--instance", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "cap" in err
+
+    @pytest.mark.parametrize("family", ["k_blind", "mc_blind"])
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_bounds_past_the_joint_space_cap_match_the_closed_forms(
+        self, family, n, tmp_path, capsys
+    ):
+        # every game here has more than 10^7 joint actions, but the searches
+        # visit a few dozen nodes; mc_blind keeps n - k small, since each of
+        # the 2^(n-k) profiles of its normal agents is an equilibrium
+        eps = delta = 0.01
+        ks = [0, 1, 2, 3] if family == "k_blind" else [n - 3, n - 2, n - 1]
+        report = tmp_path / "bounds.json"
+        code, _, err = run(
+            capsys, "bounds", "--family", family, "--n", str(n), "--k", f"{ks[0]}..{ks[-1]}",
+            "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        docs = json.loads(report.read_text())
+        assert sorted({d["k"] for d in docs}) == ks
+        for doc in docs:
+            k = doc["k"]
+            if family == "k_blind":
+                closed = 1 / (1 + (n - k - 1) * (1 / n - delta) + k * (1 - eps))
+            else:
+                closed = (1 + eps) / (k + 1 + eps)
+            assert abs(doc["report"]["ratio"] - closed) <= 1e-9, doc
+            assert doc["chains_hold"] is True
 
     def test_bounds_sweep(self, capsys):
         code, out, _ = run(
@@ -291,6 +333,14 @@ class TestAnalysis:
             capsys, "bounds", "--family", "k_blind", "--n", "5", "--k", k, "--labels", labels,
         )
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("labels", [",", "blind,", "isolated,,isolated"])
+    def test_bounds_rejects_an_empty_label(self, labels, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--family", "k_blind", "--n", "5", "--k", "2", "--labels", labels,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: label list {labels!r} has an empty item\n"
 
     def test_bounds_applies_one_label_to_every_k(self, capsys):
         code, out, _ = run(

@@ -93,6 +93,16 @@ def direct_scan_choices(game, choices):
     return best, best_idxs
 
 
+def private_pairs_game(n):
+    """Agent i picks resource 2i or 2i + 1, each worth 1, or nothing."""
+    return GameInstance(
+        welfare=al.SeparableWelfare(curves=((0.0,) + (1.0,) * n,) * (2 * n)),
+        action_sets=tuple((frozenset({2 * i}), frozenset({2 * i + 1})) for i in range(n)),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+        compromise=(Compromise.NORMAL,) * n,
+    )
+
+
 def outcome(f, *args):
     """f's result, or the message of the ModelIncompleteError it raised."""
     try:
@@ -357,14 +367,43 @@ class TestEnumerate:
         # 3(n-1) + 2 partial profiles
         n = 30
         game = hub(n, 0, 0.01, 0.01)
-        eqs = al.enumerate_pne(game, cap=al.joint_space_size(game))
+        assert al.joint_space_size(game) > equilibrium.DEFAULT_ENUM_CAP
+        eqs = al.enumerate_pne(game)
         assert eqs.profiles == ((frozenset({0}),) * n,)
         assert eqs.worst()[0] == 1.0
         assert eqs.nodes < 3 * n
 
     def test_size_cap(self):
-        with pytest.raises(al.SizeCapError):
-            al.enumerate_pne(hub(8, 2, 0.01, 0.01), cap=100)
+        # the blind agent takes the shared resource, so the 13 normal agents'
+        # marginal value is 0 on it and off it: every profile of theirs is an
+        # equilibrium, nothing is cut, and the search ends 2^13 branches,
+        # each on a complete profile
+        game = al.gen_mc_blind(14, 1, 0.01)
+        assert len(al.enumerate_pne(game, cap=2**13).profiles) == 2**13
+        with pytest.raises(
+            al.SizeCapError,
+            match="^equilibrium search ended 1001 branches, past the cap 1000$",
+        ):
+            al.enumerate_pne(game, cap=1000)
+
+    def test_a_cap_equal_to_the_joint_space_answers(self):
+        # all 2^14 profiles but one are equilibria, so the search assigns
+        # 2 + 4 + ... + 2^14 partial profiles, twice the joint space less 2,
+        # and ends one branch per profile
+        game = al.gen_mc_blind(14, 0, 0.01)
+        size = al.joint_space_size(game)
+        eqs = al.enumerate_pne(game, cap=size)
+        assert eqs == al.enumerate_pne(game)
+        assert (eqs.nodes, len(eqs.profiles)) == (2 * size - 2, size - 1)
+        with pytest.raises(al.SizeCapError, match=f"ended {size} branches"):
+            al.enumerate_pne(game, cap=size - 1)
+
+    @given(st.one_of(small_separable_games(), small_tabulated_games()))
+    @settings(max_examples=200, deadline=None)
+    def test_a_cap_equal_to_the_joint_space_answers_property(self, game):
+        size = al.joint_space_size(game)
+        assert outcome(al.enumerate_pne, game, size) == outcome(al.enumerate_pne, game)
+        assert outcome(al.optimal_welfare, game, size) == outcome(al.optimal_welfare, game)
 
 
 class TestOptimalWelfare:
@@ -510,12 +549,46 @@ class TestOptimalWelfare:
         n, k, eps, delta = 40, 20, 0.01, 0.005
         game = hub(n, k, eps, delta)
         start = time.perf_counter()
-        w, prof = al.optimal_welfare(game, cap=al.joint_space_size(game))
+        assert al.joint_space_size(game) > equilibrium.DEFAULT_ENUM_CAP
+        w, prof = al.optimal_welfare(game)
         elapsed = time.perf_counter() - start
         closed = 1 + (n - k - 1) * (1 / n - delta) + k * (1 - eps)
         assert abs(w - closed) <= 1e-9
         assert al.welfare_eval(game, prof) == w
         assert elapsed < 1.0
+
+    def test_work_cap_counts_branches(self):
+        # each agent picks one of two private resources of equal value or
+        # the empty action, so 2^10 profiles are optimal: the dynamic program
+        # keeps one state per agent and has 1 + 2 * 10 branches, while the
+        # depth-first pass merges nothing, since the profiles differ in their
+        # counts, and expands the 2^10 - 1 nodes above them, with 1 + 2 *
+        # 1023 branches: the optimal profiles and the empty actions cut
+        game = private_pairs_game(10)
+        assert al.optimal_welfare(game, cap=2047) == direct_scan_opt(game)
+        with pytest.raises(
+            al.SizeCapError,
+            match="^optimum DFS reached 2047 branches, past the cap 2046$",
+        ):
+            al.optimal_welfare(game, cap=2046)
+        with pytest.raises(
+            al.SizeCapError,
+            match="^optimum DP reached 21 branches, past the cap 20$",
+        ):
+            al.optimal_welfare(game, cap=20)
+
+    def test_a_restricted_search_is_capped_by_its_own_profiles(self):
+        # as for the chain's residual optimum: agents held to one action add
+        # no branch, and the six free ones have a branch per profile of theirs
+        game = private_pairs_game(9)
+        choices = [[1, 2] if i % 3 else [1] for i in range(game.n)]
+        size = 2**6
+        assert _best_profile(game._engine, choices, size) == direct_scan_choices(game, choices)
+        with pytest.raises(
+            al.SizeCapError,
+            match=f"^optimum DFS reached {size} branches",
+        ):
+            _best_profile(game._engine, choices, size - 1)
 
     def test_leaves_no_cyclic_garbage(self):
         games = [
@@ -1085,6 +1158,18 @@ class TestBoundChains:
         assert cert.holds
         assert cert.steps[-1].right == pytest.approx(4.0 * 1.01, abs=1e-9)
 
+    def test_mc_chain_residual_past_the_joint_space_cap(self):
+        # the residual game of the 29 normal agents has 2^29 profiles; its
+        # optimum search keeps fewer than 60 states and visits fewer than 60
+        # nodes
+        g = al.gen_mc_blind(30, 1, 0.01)
+        a_ne = (frozenset({0}),) + (frozenset(),) * 29
+        assert al.is_pne(g, a_ne)
+        _, a_opt = al.optimal_welfare(g)
+        cert = al.check_bound_chain_mc(g, a_ne, a_opt)
+        assert cert.holds
+        assert cert.steps[-1].right == pytest.approx(2.0 * 1.01, abs=1e-12)
+
     def test_mc_chain_single_blind_agent_gives_factor_two(self):
         g = al.gen_mc_blind(3, 1, 0.05)
         a_ne, a_opt = chain_inputs(g)
@@ -1180,6 +1265,36 @@ class TestWorstCaseSearch:
         )
         _, report = al.worst_case_search(config)
         assert report.ratio >= 0.5 - al.TOLERANCE
+
+    def test_skips_candidates_past_the_enumeration_cap(self, monkeypatch):
+        # three samples of 2^16 profiles and one of 12,754,584, which is
+        # skipped unanalysed
+        analysed = []
+
+        def instance_poa(game):
+            analysed.append(al.joint_space_size(game))
+            return poa(game)
+
+        poa = equilibrium.instance_poa
+        monkeypatch.setattr(equilibrium, "instance_poa", instance_poa)
+        config = al.SearchConfig(
+            n=16,
+            k=1,
+            labels=(Compromise.BLIND,),
+            utility_class=UtilityClass.MARGINAL_CONTRIBUTION,
+            value_grid=(0.5, 1.0),
+            budget=4,
+            seed=28,
+            max_resources=2,
+        )
+        rng = random.Random(config.seed)
+        sizes = [
+            al.joint_space_size(equilibrium._sample_candidate(config, rng))
+            for _ in range(config.budget)
+        ]
+        assert min(sizes) <= equilibrium.DEFAULT_ENUM_CAP < max(sizes)
+        al.worst_case_search(config)
+        assert analysed == [s for s in sizes if s <= equilibrium.DEFAULT_ENUM_CAP]
 
     @pytest.mark.parametrize("labels", [(Compromise.NORMAL,), ("normal",)])
     def test_a_normal_label_is_rejected(self, labels):

@@ -37,7 +37,7 @@ def direct_scan_submodular(game):
     """Independent oracle for check_submodular: every ordered pair of
     distinct contexts, each dominance test made afresh by comparing the
     contexts entry by entry, the margins recomputed for every action."""
-    game_module._require_cap(game, game_module.DEFAULT_CHECK_CAP)
+    game_module._require_cap(game)
     eng = game._engine
     separable = game.separable
     describe = game_module._describe_key
@@ -55,9 +55,6 @@ def direct_scan_submodular(game):
     def ordered(keys):
         return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
 
-    w0 = al.welfare_eval(game, al.empty_profile(game))
-    if abs(w0) > al.TOLERANCE:
-        return report("normalization", f"W(empty) = {w0!r}, expected 0", {"value": w0})
     keys = ordered(eng.reachable(range(game.n)))
     if len(keys) ** 2 > 4_000_000:
         raise al.SizeCapError(f"{len(keys)} distinct selections give too many comparable pairs")
@@ -104,12 +101,12 @@ def direct_scan_submodular(game):
     return game_module.SubmodularityReport(True, None, contexts, pairs)
 
 
-def direct_scan_vug(game, cap=game_module.DEFAULT_CHECK_CAP, utility_fn=None):
+def direct_scan_vug(game, utility_fn=None):
     """Independent oracle for check_vug: a plain loop over all_profiles,
     every W(a) and opt-out welfare valued by welfare_eval on the profile,
     every equal share by equal_share."""
-    game_module._require_cap(game, cap)
-    welfare_report = al.check_submodular(game, cap=cap)
+    game_module._require_cap(game)
+    welfare_report = al.check_submodular(game)
     cond2_ok = cond3_ok = cond3_tight = True
     failure = None
     profiles = 0
@@ -375,9 +372,13 @@ class TestCheckSubmodular:
         assert al.check_submodular(game).ok
 
     def test_size_cap_refusal(self):
-        game = al.gen_k_blind(8, 3, 0.01, 0.01)
-        with pytest.raises(al.SizeCapError):
-            al.check_submodular(game, cap=10)
+        # 3^12 * 2 = 1,062,882 profiles, above the 250,000 a check walks
+        game = al.gen_k_blind(13, 1, 0.01, 0.01)
+        assert al.joint_space_size(game) > game_module.DEFAULT_CHECK_CAP
+        with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
+            al.check_submodular(game)
+        with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
+            al.check_vug(game)
 
     def test_incomplete_table_reported(self):
         table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0}
@@ -385,6 +386,18 @@ class TestCheckSubmodular:
         report = al.check_submodular(game)
         assert not report.ok
         assert report.failure.kind == "table-missing"
+
+    def test_table_without_an_empty_entry_reports_it_missing(self):
+        # the constructor reads a missing W(∅) as 0, so it is the monotonicity
+        # scan, where ∅ sorts first, that meets the hole
+        table = {frozenset({0}): 1.0, frozenset({1}): 1.0, frozenset({0, 1}): 2.0}
+        game = tabulated_game(table, 2, [[{0}], [{1}]])
+        report = al.check_submodular(game)
+        assert report == direct_scan_submodular(game)
+        assert not report.ok
+        assert report.failure.kind == "table-missing"
+        assert report.failure.message == "no welfare table entry for base set []"
+        assert report.contexts_checked == report.pairs_checked == 0
 
 
 class TestCheckVug:

@@ -18,11 +18,12 @@ use. It is the single place that turns a profile into a *context*
 welfare value, and a context into an agent's candidate utilities; the fast
 paths in ``equilibrium`` and ``learning`` all evaluate through it. It owns
 the per-resource utility terms of separable welfare, which its utilities,
-the enumeration's bounds and :func:`check_vug`'s equal shares read. The
-profile-level functions here (``marginal_contribution``, ``equal_share``,
-``designed_utility``, ``effective_utility``) keep their definitions from
-the model and serve as the independent reference the kernel is tested
-against.
+the enumeration's bounds and :func:`check_vug`'s equal shares read, and
+the per-resource certificate that settles the validators for separable
+welfare without a scan. The profile-level functions here
+(``marginal_contribution``, ``equal_share``, ``designed_utility``,
+``effective_utility``) keep their definitions from the model and serve as
+the independent reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class UnsupportedUtilityError(ValueError):
 class SizeCapError(RuntimeError):
     """A search would pass its work cap: more branches than the
     equilibrium and optimum searches' budget, or more profiles than a
-    validator's walk admits. The message names the search and its count."""
+    validator's scan admits (a game the certificate settles is never
+    scanned). The message names the search and its count."""
 
 
 class Utility(Enum):
@@ -537,6 +539,60 @@ class _Engine:
         """The profile with agent j playing its action number ``idxs[j]``."""
         return tuple([acts[aj] for acts, aj in zip(self.actions, idxs)])
 
+    @cached_property
+    def certificate(self) -> tuple:
+        """``(submodular, valid, tight)``: what the curves of separable
+        welfare settle for the validators with the shipped utilities.
+        ``submodular`` and ``valid`` (utilities at least the marginal and
+        summing to at most W) are True only where every comparison the
+        scans make is proved to pass; ``tight`` is True or False where the
+        scan's answer is proved, None otherwise.
+
+        With Δf(c) = f(c) - f(c-1), the exact margin difference over
+        contexts s <= b is at most n·max(0, Δf(c+1) - Δf(c)) per resource,
+        an ES share falls short of the marginal by at most Δf(c) - f(c)/c,
+        and Σ U - W is the sum over resources of m·(Δf(c) - f(c)/c), where c
+        agents select the resource, m of them MC. (c, m) is reachable when
+        1 <= m <= M and 0 <= c - m <= E, M and E counting the MC and ES
+        agents with an action holding it. All of it is exact integer
+        arithmetic; ``rho`` covers the rounding of the scans' R-term welfare
+        sums and n-term utility sums, and past TOLERANCE/4 nothing is
+        settled."""
+        n, fail = self.n, (False, False, None)
+        if not self.separable:
+            return fail
+        rho = 8 * (self.m + 2) * (n + 2) * 2.0**-53 * sum(f[n] for f in self.curves)
+        if not rho < TOLERANCE / 4:  # huge scales and overflow: scan
+            return fail
+        from fractions import Fraction
+
+        # exact integers in units of 1/(D·L): D the largest denominator of a
+        # curve value (a power of two), L = lcm(1..n), so f(c)/c is one too
+        ratios = [[v.as_integer_ratio() for v in f] for f in self.curves]
+        unit = max([q for f in ratios for _, q in f], default=1)
+        unit *= math.lcm(*range(1, n + 1))
+        rho, tol = Fraction(rho) * unit, Fraction(TOLERANCE) * unit
+        holders = [[0, 0] for _ in range(self.m)]  # [E, M] per resource
+        for mc, acts in zip(self.is_mc, self.act_res):
+            for r in set().union(*acts):
+                holders[r][mc] += 1
+        growth = shortfall = excess = spread = worst = 0
+        for f, (es, mcs) in zip(ratios, holders):
+            f = [p * unit // q for p, q in f]
+            inc = [0] + [f[c] - f[c - 1] for c in range(1, n + 1)]
+            growth += n * max([0] + [inc[c + 1] - inc[c] for c in range(1, n)])
+            gaps = [inc[c] - f[c] // c for c in range(1, n + 1)]  # Δf(c) - f(c)/c
+            if es:
+                shortfall += max(0, max(gaps))
+            # the most MC selectors of a reachable (c, m), 0 if none is
+            ms = [min(mcs, c) if min(mcs, c) >= max(1, c - es) else 0 for c in range(1, n + 1)]
+            excess += max(0, max(m * g for m, g in zip(ms, gaps)))
+            spread += max(m * abs(g) for m, g in zip(ms, gaps))
+            worst = max([worst] + [-m * g for m, g in zip(ms, gaps)])
+        valid = shortfall + rho < tol and excess + rho < tol
+        tight = True if spread + rho <= tol else False if worst > tol + rho + excess else None
+        return growth + rho < tol, valid, tight
+
 
 # ---------------------------------------------------------------------------
 # validators
@@ -558,13 +614,15 @@ class SubmodularityReport:
     other agents can form. ``pairs_checked`` counts the ordered pairs
     (smaller, strictly larger context) compared, up to and including the
     failing one. Both stop where the scan stopped, so a failing report
-    counts only what came before its failure.
+    counts only what came before its failure, and both are 0 where
+    ``path`` is ``"certificate"``: the curves settled the report unscanned.
     """
 
     ok: bool
     failure: Optional[CheckFinding]
     contexts_checked: int
     pairs_checked: int
+    path: str = "scan"  # or "certificate"
 
 
 @dataclass(frozen=True)
@@ -577,7 +635,8 @@ class VugReport:
     utility_sum_bounded: bool  # sum_i U_i <= W everywhere
     utility_sum_tight: bool  # the sum bound holds with equality everywhere
     failure: Optional[CheckFinding]
-    profiles_checked: int
+    profiles_checked: int  # 0 on the certificate path
+    path: str = "scan"  # or "certificate"
 
 
 def _require_cap(game: GameInstance) -> None:
@@ -587,9 +646,22 @@ def _require_cap(game: GameInstance) -> None:
 
 
 def check_submodular(game: GameInstance) -> SubmodularityReport:
-    """Exhaustively verify that the welfare is submodular and nondecreasing
-    over the admissible profile space; the constructor already guarantees
-    W(∅) = 0.
+    """Verify that the welfare is submodular and nondecreasing over the
+    admissible profile space; the constructor already guarantees W(∅) = 0.
+
+    Separable welfare is nondecreasing by construction, and where the
+    curves' increments are nonincreasing beyond rounding the kernel's
+    certificate settles the report with no scan (``path="certificate"``).
+    Every other game, and every failure, goes to the scan, with its first
+    failing pair as the witness.
+    """
+    if game._engine.certificate[0]:
+        return SubmodularityReport(True, None, 0, 0, "certificate")
+    return _scan_submodular(game)
+
+
+def _scan_submodular(game: GameInstance) -> SubmodularityReport:
+    """The exhaustive scan behind :func:`check_submodular`.
 
     Contexts are deduplicated by what the welfare actually depends on
     (per-resource counts for separable welfare, base sets for tabulated), and
@@ -600,8 +672,10 @@ def check_submodular(game: GameInstance) -> SubmodularityReport:
     names the first violating pair of a plain pair scan and counts the pairs
     such a scan compares. A table with no entry for a base set the agents
     can form, ∅ included, gives a ``table-missing`` report. Refuses games
-    with more than ``DEFAULT_CHECK_CAP`` profiles, since
-    :func:`check_vug` walks every one.
+    with more than ``DEFAULT_CHECK_CAP`` profiles, since the scan of
+    :func:`check_vug` walks every one, and games whose distinct full
+    selections give more than 4,000,000 ordered pairs, since the lists of
+    contexts above each one take time quadratic in their number.
     """
     _require_cap(game)
     eng = game._engine
@@ -707,11 +781,26 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     assigned utilities, which is how non-shipped designs can be probed.
 
     The welfare conditions are the embedded :func:`check_submodular` report.
-    The profiles are walked depth first in :func:`all_profiles` order, one
-    selection-count list updated as each agent's action is entered and left,
-    so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats.
+    For separable welfare with the assigned MC/ES utilities, where that
+    report is ok, the kernel's certificate settles both conditions and the
+    tightness per resource (``path="certificate"``, no profile walked).
+    Otherwise the profiles are walked depth first in :func:`all_profiles`
+    order, one selection-count list updated as each agent's action is
+    entered and left, so W(a), W(a₋ᵢ) and equal shares are the per-profile
+    functions' floats; the walk refuses more than ``DEFAULT_CHECK_CAP``
+    profiles.
     """
-    welfare_report = check_submodular(game)  # refuses above the cap
+    welfare_report = check_submodular(game)
+    _, valid, tight = game._engine.certificate
+    if utility_fn is None and welfare_report.ok and valid and tight is not None:
+        return VugReport(True, welfare_report, True, True, tight, None, 0, "certificate")
+    return _scan_vug(game, utility_fn, welfare_report)
+
+
+def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
+    """The profile walk behind :func:`check_vug`, on top of the welfare
+    report ``welfare_report``."""
+    _require_cap(game)
     eng = game._engine
     n, separable, value, act_res = eng.n, eng.separable, eng.value, eng.act_res
 

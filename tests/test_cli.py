@@ -248,12 +248,31 @@ class TestAnalysis:
         assert doc["bound_satisfied"] is True
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
-        # check walks every profile: 3^12 * 2 of them is past its cap
-        path = str(tmp_path / "k13.json")
-        assert run(capsys, "gen", "--family", "k_blind", "--n", "13", "--k", "1", "--out", path)[0] == 0
-        code, out, err = run(capsys, "check", "--instance", path)
+        # a table is scanned, and the scan walks every profile: 3^12 of
+        # them is past its cap
+        table = {frozenset(s): float(len(s)) for s in ((), (0,), (1,), (0, 1))}
+        game = al.GameInstance(
+            welfare=al.TabulatedWelfare.from_mapping(table, 2),
+            action_sets=(({0}, {1}),) * 12,
+            utilities=("mc",) * 12,
+            compromise=("normal",) * 12,
+        )
+        path = tmp_path / "table12.json"
+        path.write_text(al.serialize(game))
+        code, out, err = run(capsys, "check", "--instance", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and "cap" in err
+        assert err == "error: joint action space has 531441 profiles, above the cap of 250000\n"
+
+    @pytest.mark.parametrize("family, n, k", [("k_blind", 13, 1), ("sim", 10, 9)])
+    def test_check_past_the_scans_caps(self, family, n, k, tmp_path, capsys):
+        # k_blind n=13 has 1,062,882 profiles and sim n=10 6,144 distinct
+        # selections, which the scans refuse; the curves settle both
+        path = str(tmp_path / "g.json")
+        gen = ("gen", "--family", family, "--n", str(n), "--k", str(k), "--out", path)
+        assert run(capsys, *gen, "--eps", "0.05")[0] == 0
+        code, out, err = run(capsys, "check", "--instance", path)
+        assert (code, err) == (0, "")
+        assert [line.split()[-1] for line in out.splitlines()[1:4]] == ["yes"] * 3
 
     @pytest.mark.parametrize("family", ["k_blind", "mc_blind"])
     @pytest.mark.parametrize("n", [20, 30, 40])

@@ -2,7 +2,9 @@
 their own planted-violation cases."""
 
 import dataclasses
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -102,11 +104,12 @@ def direct_scan_submodular(game):
 
 
 def direct_scan_vug(game, utility_fn=None):
-    """Independent oracle for check_vug: a plain loop over all_profiles,
-    every W(a) and opt-out welfare valued by welfare_eval on the profile,
-    every equal share by equal_share."""
+    """Independent oracle for check_vug's scan: a plain loop over
+    all_profiles, every W(a) and opt-out welfare valued by welfare_eval on
+    the profile, every equal share by equal_share; the welfare report is
+    the submodularity scan's."""
     game_module._require_cap(game)
-    welfare_report = al.check_submodular(game)
+    welfare_report = game_module._scan_submodular(game)
     cond2_ok = cond3_ok = cond3_tight = True
     failure = None
     profiles = 0
@@ -250,6 +253,17 @@ def overflow_game():
     )
 
 
+def scan_vug(game, utility_fn=None):
+    """check_vug's scan, on top of the submodularity scan."""
+    return game_module._scan_vug(game, utility_fn, game_module._scan_submodular(game))
+
+
+def settled(report):
+    """What the certificate settles of a check_vug report."""
+    return (report.ok, report.utility_dominates_marginal, report.utility_sum_bounded,
+            report.utility_sum_tight, report.failure)
+
+
 def check_outcome(check, game):
     try:
         return check(game)
@@ -262,7 +276,7 @@ class TestCheckSubmodularMatchesTheDirectScan:
         kinds = set()
         for seed in range(300):
             game = random_separable_game(random.Random(seed))
-            report = al.check_submodular(game)
+            report = game_module._scan_submodular(game)
             assert report == direct_scan_submodular(game), seed
             kinds.add(report.failure.kind if report.failure else "ok")
         assert kinds == {"ok", "submodularity"}
@@ -271,19 +285,21 @@ class TestCheckSubmodularMatchesTheDirectScan:
         kinds = set()
         for seed in range(300):
             game = random_tabulated_game(random.Random(seed))
-            report = check_outcome(al.check_submodular, game)
+            report = check_outcome(game_module._scan_submodular, game)
             assert report == check_outcome(direct_scan_submodular, game), seed
             kinds.add(report.failure.kind if report.failure else "ok")
         assert kinds == {"ok", "monotonicity", "submodularity", "table-missing"}
 
     def test_families(self):
         for game in family_games():
-            assert al.check_submodular(game) == direct_scan_submodular(game)
+            assert game_module._scan_submodular(game) == direct_scan_submodular(game)
 
     def test_overflowing_welfare(self):
+        # the certificate settles nothing past its rounding allowance
         game = overflow_game()
         report = al.check_submodular(game)
         assert report == direct_scan_submodular(game)
+        assert report.path == "scan"
         assert report.failure.witness["agent"] == 0
         assert report.failure.witness["margin_at_larger"] == float("inf")
 
@@ -300,8 +316,10 @@ class TestCheckSubmodularMatchesTheDirectScan:
             utilities=(Utility.MARGINAL_CONTRIBUTION,) * 3,
             compromise=(Compromise.NORMAL,) * 3,
         )
+        # the certificate proves no such growth away, so the scan runs
         report = al.check_submodular(game)
         assert report == direct_scan_submodular(game)
+        assert report.path == "scan"
         assert report.failure.kind == "submodularity"
         assert report.failure.witness == {
             "agent": 0,
@@ -320,7 +338,7 @@ class TestCheckSubmodularMatchesTheDirectScan:
     @settings(max_examples=200, deadline=None)
     def test_property(self, seed, generator):
         game = generator(random.Random(seed))
-        assert check_outcome(al.check_submodular, game) == check_outcome(
+        assert check_outcome(game_module._scan_submodular, game) == check_outcome(
             direct_scan_submodular, game
         )
 
@@ -372,13 +390,27 @@ class TestCheckSubmodular:
         assert al.check_submodular(game).ok
 
     def test_size_cap_refusal(self):
-        # 3^12 * 2 = 1,062,882 profiles, above the 250,000 a check walks
-        game = al.gen_k_blind(13, 1, 0.01, 0.01)
+        # a table is always scanned: 3^12 = 531,441 profiles, above the
+        # 250,000 a scan walks
+        weights = {0: 2.0, 1: 1.0, 2: 0.5}
+        table = full_table(3, lambda s: sum(weights[r] for r in sorted(s)))
+        game = tabulated_game(table, 3, [[{0}, {1, 2}]] * 12)
         assert al.joint_space_size(game) > game_module.DEFAULT_CHECK_CAP
         with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
             al.check_submodular(game)
         with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
             al.check_vug(game)
+
+    def test_the_certificate_answers_past_the_scans_caps(self):
+        # 3^12 * 2 = 1,062,882 profiles, past the walk's cap; 6,144 distinct
+        # selections, past the pair scan's; the curves settle both
+        for game in (al.gen_k_blind(13, 1, 0.01, 0.01), al.gen_sim_game(10, 9, 0.05)):
+            with pytest.raises(al.SizeCapError):
+                game_module._scan_submodular(game)
+            report = al.check_vug(game)
+            assert (report.path, report.welfare.path) == ("certificate", "certificate")
+            assert report.ok and report.profiles_checked == 0
+            assert (report.welfare.contexts_checked, report.welfare.pairs_checked) == (0, 0)
 
     def test_incomplete_table_reported(self):
         table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0}
@@ -531,7 +563,7 @@ class TestCheckVugSharedEvaluations:
     def test_matches_the_per_profile_reference(self, design):
         fn = self.DESIGNS[design]
         for game in self.GAMES:
-            report = al.check_vug(game, utility_fn=fn)
+            report = scan_vug(game, utility_fn=fn)
             got = (
                 report.utility_dominates_marginal,
                 report.utility_sum_bounded,
@@ -552,18 +584,18 @@ class TestCheckVugSharedEvaluations:
             calls.append(1)
             return real(eng, ctx)
 
-        # every welfare value, in both validators, is one kernel value() call
+        # every welfare value, in both scans, is one kernel value() call
         monkeypatch.setattr(game_module._Engine, "value", counting)
-        al.check_submodular(game)
+        game_module._scan_submodular(game)
         in_submodular = len(calls)
         calls.clear()
-        report = al.check_vug(game)  # runs check_submodular, then the profile walk
+        report = scan_vug(game)  # the submodularity scan, then the profile walk
         assert report.ok
         # W(a) and the n opt-out values: 7 per profile for 6 agents
         assert len(calls) - in_submodular == report.profiles_checked * (1 + game.n)
 
 
-def vug_outcome(game, check=al.check_vug, utility_fn=None):
+def vug_outcome(game, check=scan_vug, utility_fn=None):
     """The repr of a check_vug-style report, or of the type and message of
     what it raised (a NaN in a report compares unequal to itself)."""
     try:
@@ -578,14 +610,22 @@ def design_kind(game):
 
 class TestCheckVugMatchesTheDirectScan:
     def test_random_separable_games(self):
-        labels, designs = set(), set()
+        # the certificate, where it answers, settles what the scan reports
+        labels, designs, paths, tight = set(), set(), set(), set()
         for seed in range(300):
             game = random_separable_game(random.Random(seed))
-            assert vug_outcome(game) == vug_outcome(game, direct_scan_vug), seed
+            scan = scan_vug(game)
+            assert repr(scan) == vug_outcome(game, direct_scan_vug), seed
             labels.update(game.compromise)
             designs.add(design_kind(game))
+            report = al.check_vug(game)
+            if report.path == "certificate":
+                assert settled(report) == settled(scan), seed
+                tight.add(report.utility_sum_tight)
+            paths.add(report.path)
         assert labels == set(Compromise)
         assert designs == {"mc", "es", "mixed"}
+        assert paths == {"certificate", "scan"} and tight == {True, False}
 
     def test_random_tabulated_games(self):
         raised = 0
@@ -611,11 +651,13 @@ class TestCheckVugMatchesTheDirectScan:
             assert vug_outcome(game) == vug_outcome(game, direct_scan_vug)
 
     def test_overflowing_welfare(self):
+        # past the certificate's rounding allowance: check_vug is the scan
         game = overflow_game()
         outcomes = []
         for fn in TestCheckVugSharedEvaluations.DESIGNS:
-            outcomes.append(vug_outcome(game, utility_fn=fn))
+            outcomes.append(vug_outcome(game, al.check_vug, fn))
             assert outcomes[-1] == vug_outcome(game, direct_scan_vug, fn)
+            assert "path='certificate'" not in outcomes[-1]
         # the doubled design's sum overflows where the welfare does not
         assert "'utility_sum': inf, 'welfare': 1.5299999999999998e+308" in outcomes[2]
 
@@ -632,6 +674,7 @@ class TestCheckVugMatchesTheDirectScan:
         )
         report = al.check_vug(game)
         assert report == direct_scan_vug(game)
+        assert report.path == "scan"
         assert report.utility_sum_tight
 
     @pytest.mark.parametrize("design", range(len(TestCheckVugSharedEvaluations.DESIGNS)))
@@ -660,3 +703,91 @@ class TestCheckVugMatchesTheDirectScan:
                                            min_size=game.n, max_size=game.n))
             game = dataclasses.replace(game, utilities=tuple(utilities))
         assert vug_outcome(game) == vug_outcome(game, direct_scan_vug)
+
+
+@st.composite
+def scaled_separable_games(draw):
+    """small_separable_games with drawn utilities and labels, every curve
+    scaled by a power of two from 2^-10 to 2^20 (about 1e-3 to 1e6), so
+    that the scaled curves are exactly the drawn ones scaled."""
+    game = draw(small_separable_games())
+    scale = math.ldexp(1.0, draw(st.integers(-10, 20)))
+    each = lambda values: st.lists(st.sampled_from(values), min_size=game.n, max_size=game.n)
+    return dataclasses.replace(
+        game,
+        welfare=al.SeparableWelfare(
+            curves=tuple(tuple(v * scale for v in f) for f in game.welfare.curves)
+        ),
+        utilities=tuple(draw(each(list(Utility)))),
+        compromise=tuple(draw(each(list(Compromise)))),
+    )
+
+
+FAMILIES = {
+    "k_blind": lambda n, k: al.gen_k_blind(n, k, 0.01, 0.01),
+    "mc_blind": lambda n, k: al.gen_mc_blind(n, k, 0.01),
+    "sim": lambda n, k: al.gen_sim_game(n, k, 0.05),
+}
+
+
+class TestCertificate:
+    """Where the curves settle a report, it is the one the scans give."""
+
+    @given(scaled_separable_games())
+    @settings(max_examples=100, deadline=None)
+    def test_answers_only_what_the_scans_report(self, game):
+        welfare = al.check_submodular(game)
+        if welfare.path == "certificate":
+            scan = direct_scan_submodular(game)
+            assert (welfare.ok, welfare.failure) == (scan.ok, scan.failure) == (True, None)
+        report = al.check_vug(game)
+        if report.path == "certificate":
+            assert settled(report) == settled(direct_scan_vug(game))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families_n2_to_10(self, family):
+        # every k up to n = 6, the middle one above; the scan is compared
+        # wherever it answers (it refuses sim from n = 9 and k_blind at 10)
+        for n in range(2, 11):
+            ks = [n - 1] if family == "sim" else range(n) if n <= 6 else [n // 2]
+            for k in ks:
+                game = FAMILIES[family](n, k)
+                report = al.check_vug(game)
+                assert (report.path, report.welfare.path) == ("certificate",) * 2, (n, k)
+                try:
+                    scan = scan_vug(game)
+                except al.SizeCapError:
+                    continue
+                assert settled(report) == settled(scan), (n, k)
+
+    def test_a_sum_that_one_resource_offsets_goes_to_the_scan(self):
+        # both agents select both resources: at counts (2, 2) the first
+        # resource puts the utility sum 1.5e-9 below W on its own, more than
+        # the tolerance, but the second puts it 0.8e-9 back, so the sum is
+        # tight everywhere; the certificate must not call it untight
+        curves = ((0.0, 1.0, 2.0 - 1.5e-9), (0.0, 1.0, 2.0 + 0.8e-9))
+        game = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=curves),
+            action_sets=(({0, 1},),) * 2,
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(Compromise.NORMAL,) * 2,
+        )
+        report = al.check_vug(game)
+        assert report == direct_scan_vug(game)
+        assert report.path == "scan" and report.utility_sum_tight
+
+    def test_is_computed_once_per_game(self, monkeypatch):
+        game = al.gen_mc_blind(6, 3, 0.01)
+        real = game_module._Engine.certificate.func
+        calls = []
+
+        def counting(eng):
+            calls.append(1)
+            return real(eng)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(game_module._Engine, "certificate")
+        monkeypatch.setattr(game_module._Engine, "certificate", prop)
+        al.check_vug(game)  # check_submodular, then check_vug itself
+        al.check_vug(game)
+        assert len(calls) == 1

@@ -95,13 +95,16 @@ def _parse_labels(spec: Optional[str], k: int):
 
 
 def _parse_k_range(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-        if not ks:
-            raise ValueError(f"empty k range {spec!r}: the first k exceeds the last")
-        return ks
-    return [int(spec)]
+    lo, dots, hi = spec.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ValueError(
+            f"k spec {spec!r} is not an integer k or a range lo..hi of integers"
+        ) from None
+    if not ks:
+        raise ValueError(f"empty k range {spec!r}: the first k exceeds the last")
+    return ks
 
 
 def _parse_temps(spec: str):
@@ -227,7 +230,9 @@ def cmd_poa(args) -> int:
     print(f"optimal welfare:     {_value(report.opt_welfare)}")
     print(f"equilibria found:    {report.pne_count}")
     if report.ratio is None:
-        print("anarchy ratio:       undefined (no equilibrium or zero optimum)")
+        overflow = not math.isfinite(report.opt_welfare)
+        cause = "the optimum overflows" if overflow else "no equilibrium or zero optimum"
+        print(f"anarchy ratio:       undefined ({cause})")
     else:
         print(f"worst NE welfare:    {_value(report.worst_ne_welfare)}")
         print(f"anarchy ratio:       {_value(report.ratio)}")

@@ -35,7 +35,6 @@ from .game import (
     Compromise,
     GameInstance,
     JointAction,
-    SeparableWelfare,
     SizeCapError,
     Utility,
     _Engine,
@@ -44,6 +43,7 @@ from .game import (
     validate_joint_action,
     welfare_eval,
 )
+from .instances import _random_game, _step_curve
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -581,15 +581,16 @@ def _classify(game: GameInstance):
 def instance_poa(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> PoAReport:
     """Worst equilibrium welfare over the optimum, with the class bound.
 
-    Games with no pure Nash equilibrium (or an all-zero optimum) report an
-    undefined ratio and are excluded from bound checks.
+    Games with no pure Nash equilibrium, an all-zero optimum or an optimum
+    that overflows to inf report an undefined ratio and are excluded from
+    bound checks.
     """
     eqs = enumerate_pne(game, cap=cap)
     opt_w, opt_a = optimal_welfare(game, cap=cap)
     k, any_disabled, any_blind, klass = _classify(game)
     bound = theoretical_poa(game.n, k, any_disabled, any_blind, klass)
     worst = eqs.worst()
-    if worst is None or opt_w <= TOLERANCE:
+    if worst is None or not TOLERANCE < opt_w < math.inf:
         return PoAReport(
             opt_welfare=opt_w,
             opt_profile=opt_a,
@@ -821,10 +822,10 @@ class SearchConfig:
 def worst_case_search(config: SearchConfig):
     """Sample instances and keep the one with the smallest defined ratio.
 
-    Returns (game, report) of the worst instance found; candidates with an
-    undefined ratio (no equilibrium or zero optimum) are skipped; ValueError
-    if every candidate was. Best-effort and deterministic given the seed.
-    A candidate of more than ``DEFAULT_ENUM_CAP`` profiles is skipped
+    Returns (game, report) of the worst instance found. Candidates with no
+    equilibrium, or a zero or overflowing optimum, have no ratio and are
+    skipped (ValueError if all were); best-effort, deterministic given the
+    seed. A candidate of more than ``DEFAULT_ENUM_CAP`` profiles is skipped
     unanalysed, since a fifth to a half of a sample's profiles are equilibria.
     """
     if config.k > config.n:
@@ -847,41 +848,17 @@ def worst_case_search(config: SearchConfig):
     if best is None:
         raise ValueError(
             "no sampled candidate produced a defined ratio "
-            "(each had no equilibrium or a zero optimum)"
+            "(each had no equilibrium, a zero optimum or an optimum that overflows)"
         )
     return best
 
 
 def _sample_candidate(config: SearchConfig, rng: random.Random) -> GameInstance:
-    n = config.n
     m = rng.randint(1, config.max_resources)
-    curves = []
-    for _ in range(m):
-        v = float(rng.choice(config.value_grid))
-        curves.append((0.0,) + (v,) * n)
-    action_sets = []
-    for _ in range(n):
-        acts = set()
-        want = rng.randint(1, max(1, config.max_actions - 1))
-        for _ in range(want * 3):
-            if len(acts) >= want:
-                break
-            size = 1 if (m == 1 or rng.random() < 0.7) else 2
-            acts.add(frozenset(rng.sample(range(m), size)))
-        action_sets.append(tuple(acts) + (EMPTY_ACTION,))
+    curves = [_step_curve(rng.choice(config.value_grid), config.n) for _ in range(m)]
+    utilities = (Utility.MARGINAL_CONTRIBUTION, Utility.EQUAL_SHARE)
     if config.utility_class is UtilityClass.MARGINAL_CONTRIBUTION:
-        utilities = (Utility.MARGINAL_CONTRIBUTION,) * n
-    else:
-        utilities = tuple(
-            rng.choice((Utility.MARGINAL_CONTRIBUTION, Utility.EQUAL_SHARE))
-            for _ in range(n)
-        )
-    compromise = [Compromise.NORMAL] * n
-    for pos, lab in zip(sorted(rng.sample(range(n), config.k)), config.labels):
-        compromise[pos] = Compromise(lab)
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=utilities,
-        compromise=tuple(compromise),
+        utilities = utilities[:1]
+    return _random_game(
+        rng, config.n, curves, config.max_actions, config.labels, utilities
     )

@@ -4,12 +4,15 @@ format.
 Every generator is deterministic: the same parameters (and seed, for the
 random family) produce the same instance and the same serialized document,
 byte for byte. Resource ids follow a fixed layout per family so enumeration
-orders are reproducible.
+orders are reproducible. Each layout has one builder: ``_hub_game`` (a hub
+plus private alternates) for ``k_blind``, ``mc_blind`` and ``sim``, and
+``_random_game`` for the random family and the worst-case search.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -66,6 +69,8 @@ class FamilyParams:
             raise ValueError(f"unknown family {self.family!r}")
         if self.eps < 0 or self.delta < 0:
             raise ValueError("eps and delta must be nonnegative")
+        if not (math.isfinite(self.eps) and math.isfinite(self.delta)):
+            raise ValueError("eps and delta must be finite")
         if self.k > self.n and self.family != "fig1":
             raise ValueError("k must not exceed n")
 
@@ -86,6 +91,30 @@ def _labels_for(k: int, labels: Optional[Sequence]) -> tuple:
     return out
 
 
+def _hub_game(n, k, labels, utility, hub, alternates) -> GameInstance:
+    """The hub layout: resource 0, worth ``hub``, is open to every agent, and
+    agent i may also take its own alternate worth ``alternates[i]`` (None
+    for no alternate), numbered 1, 2, ... in agent order. Agents 0..k-1
+    carry ``labels`` (blind or isolated); everyone uses ``utility``."""
+    labs = _labels_for(k, labels)
+    if any(l is Compromise.DISABLED for l in labs):
+        raise ValueError("this family takes blind or isolated labels only")
+    curves = [_step_curve(hub, n)]
+    action_sets = []
+    for value in alternates:
+        acts = [EMPTY_ACTION, frozenset({0})]
+        if value is not None:
+            curves.append(_step_curve(value, n))
+            acts.append(frozenset({len(curves) - 1}))
+        action_sets.append(acts)
+    return GameInstance(
+        welfare=SeparableWelfare(curves=tuple(curves)),
+        action_sets=tuple(action_sets),
+        utilities=(utility,) * n,
+        compromise=labs + (Compromise.NORMAL,) * (n - k),
+    )
+
+
 def gen_k_blind(
     n: int,
     k: int,
@@ -104,27 +133,8 @@ def gen_k_blind(
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    labs = _labels_for(k, labels)
-    if any(l is Compromise.DISABLED for l in labs):
-        raise ValueError("this family takes blind or isolated labels only")
-    curves = [_step_curve(1.0, n)]
-    for _ in range(k):
-        curves.append(_step_curve(1.0 - eps, n))
-    for _ in range(n - 1 - k):
-        curves.append(_step_curve(1.0 / n - delta, n))
-    action_sets = []
-    for i in range(n):
-        if i < n - 1:
-            action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
-        else:
-            action_sets.append((EMPTY_ACTION, frozenset({0})))
-    compromise = list(labs) + [Compromise.NORMAL] * (n - k)
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=(Utility.EQUAL_SHARE,) * n,
-        compromise=tuple(compromise),
-    )
+    alternates = [1.0 - eps] * k + [1.0 / n - delta] * (n - 1 - k) + [None]
+    return _hub_game(n, k, labels, Utility.EQUAL_SHARE, 1.0, alternates)
 
 
 def gen_mc_blind(
@@ -144,25 +154,8 @@ def gen_mc_blind(
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    labs = _labels_for(k, labels)
-    if any(l is Compromise.DISABLED for l in labs):
-        raise ValueError("this family takes blind or isolated labels only")
-    curves = [_step_curve(1.0 + eps, n)]
-    for _ in range(k):
-        curves.append(_step_curve(1.0, n))
-    action_sets = []
-    for i in range(n):
-        if i < k:
-            action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
-        else:
-            action_sets.append((EMPTY_ACTION, frozenset({0})))
-    compromise = list(labs) + [Compromise.NORMAL] * (n - k)
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
-        compromise=tuple(compromise),
-    )
+    alternates = [1.0] * k + [None] * (n - k)
+    return _hub_game(n, k, labels, Utility.MARGINAL_CONTRIBUTION, 1.0 + eps, alternates)
 
 
 def gen_mc_noblind(
@@ -219,23 +212,8 @@ def gen_sim_game(
     """
     if k != n - 1:
         raise ValueError("this family has exactly one uncompromised agent (k = n-1)")
-    labs = _labels_for(k, labels)
-    if any(l is Compromise.DISABLED for l in labs):
-        raise ValueError("this family takes blind or isolated labels only")
-    curves = [_step_curve(1.0, n)]
-    curves += [_step_curve(1.0 - eps, n) for _ in range(k)]
-    curves.append(_step_curve(eps, n))
-    action_sets = []
-    for i in range(k):
-        action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
-    action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({k + 1})))
-    compromise = list(labs) + [Compromise.NORMAL]
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
-        compromise=tuple(compromise),
-    )
+    alternates = [1.0 - eps] * k + [eps]
+    return _hub_game(n, k, labels, Utility.MARGINAL_CONTRIBUTION, 1.0, alternates)
 
 
 def gen_fig1(
@@ -293,7 +271,7 @@ def gen_random_separable(
         raise ValueError("need n >= 1, max_resources >= 1, max_actions >= 2")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    labs = _labels_for(k, labels) if (labels is not None or k) else ()
+    labs = _labels_for(k, labels)
     rng = random.Random(seed)
     m = rng.randint(1, max_resources)
     curves = []
@@ -305,19 +283,28 @@ def gen_random_separable(
         for inc in increments:
             curve.append(curve[-1] + inc)
         curves.append(tuple(curve))
+    return _random_game(rng, n, curves, max_actions, labs, utility_choices)
+
+
+def _random_game(rng, n, curves, max_actions, labels, utility_choices) -> GameInstance:
+    """The random layout over ``curves``: each agent gets the opt-out plus
+    up to ``max_actions`` - 1 (at least one) drawn actions of one or two
+    resources and a utility drawn from ``utility_choices``; ``labels`` go
+    to agents drawn from ``rng``, in agent order."""
+    m = len(curves)
     action_sets = []
     for _ in range(n):
-        want = rng.randint(1, max_actions - 1)
+        want = rng.randint(1, max(1, max_actions - 1))
         acts = set()
         for _ in range(4 * want):
             if len(acts) >= want:
                 break
             size = 1 if (m == 1 or rng.random() < 0.7) else 2
             acts.add(frozenset(rng.sample(range(m), size)))
-        action_sets.append(tuple(sorted(acts, key=lambda a: (len(a), sorted(a)))))
+        action_sets.append(acts)
     utilities = tuple(Utility(rng.choice(tuple(utility_choices))) for _ in range(n))
     compromise = [Compromise.NORMAL] * n
-    for pos, lab in zip(sorted(rng.sample(range(n), k)), labs):
+    for pos, lab in zip(sorted(rng.sample(range(n), len(labels))), labels):
         compromise[pos] = lab
     return GameInstance(
         welfare=SeparableWelfare(curves=tuple(curves)),

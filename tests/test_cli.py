@@ -8,6 +8,7 @@ import anarchy_lab as al
 import anarchy_lab.game as game_module
 from anarchy_lab import cli
 from anarchy_lab.cli import main
+from test_equilibrium import overflowing_pair
 
 
 def run(capsys, *argv):
@@ -247,6 +248,22 @@ class TestAnalysis:
         assert doc["ratio"] == pytest.approx(1.01 / 3.01, abs=1e-12)
         assert doc["bound_satisfied"] is True
 
+    def test_poa_with_an_overflowing_optimum_is_undefined(self, tmp_path, capsys):
+        # the ratio inf / inf used to print nan and exit 4
+        game = overflowing_pair()
+        path = tmp_path / "overflow.json"
+        path.write_text(al.serialize(game))
+        code, out, _ = run(capsys, "poa", "--instance", str(path))
+        assert code == 0
+        assert out == (
+            "optimal welfare:     inf\n"
+            "equilibria found:    2\n"
+            "anarchy ratio:       undefined (the optimum overflows)\n"
+            "theoretical bound:   0.5\n"
+            "bound satisfied:     -\n"
+        )
+        assert cli._chains_ok(game, al.instance_poa(game)) is None
+
     def test_size_cap_exit_code(self, tmp_path, capsys):
         # a table is scanned, and the scan walks every profile: 3^12 of
         # them is past its cap
@@ -323,6 +340,25 @@ class TestAnalysis:
         assert code == 2
         assert out == ""
         assert "empty k range" in err
+
+    @pytest.mark.parametrize("spec", ["a", "1..", "..2", "1..2..3"])
+    def test_bounds_names_a_malformed_k_spec(self, spec, capsys):
+        # these used to exit with int()'s "invalid literal ... with base 10"
+        code, out, err = run(capsys, "bounds", "--family", "k_blind", "--n", "4", "--k", spec)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: k spec {spec!r} is not an integer k or a range lo..hi of integers\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ("gen", "--family", "k_blind", "--n", "4", "--k", "0"),
+        ("bounds", "--family", "k_blind", "--n", "4", "--k", "0..1"),
+    ])
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--delta", "inf")])
+    def test_non_finite_eps_or_delta_exits_two(self, command, flag, value, capsys):
+        # k=0 never reads eps, so gen used to exit 0 with --eps nan
+        code, out, err = run(capsys, *command, flag, value)
+        assert (code, out, err) == (2, "", "error: eps and delta must be finite\n")
 
     def test_bounds_without_k_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +503,16 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error: no sampled candidate produced a defined ratio")
         assert out == ""
+
+    def test_overflowing_candidates_are_skipped(self, tmp_path, capsys):
+        # a NaN worst ratio used to be reported as a violated bound, exit 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n": 2, "value_grid": [1e308, 1e308], "budget": 5, "max_resources": 3}
+        ))
+        code, out, _ = run(capsys, "search", "--config", str(cfg))
+        assert code == 0
+        assert "worst ratio found:   1.0\n" in out
 
 
 class TestLll:

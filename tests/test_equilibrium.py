@@ -717,6 +717,27 @@ class TestInstancePoa:
         assert report.bound_satisfied is None
         assert report.pne_count == 0
 
+    def test_overflowing_optimum_reported_undefined(self):
+        # 1e308 + 1e308 overflows to inf, and inf / inf is NaN: a NaN ratio
+        # used to read as a violated bound
+        g = overflowing_pair()
+        report = al.instance_poa(g)
+        assert report.opt_welfare == math.inf
+        assert report.ratio is None
+        assert report.bound_satisfied is None
+        assert report.pne_count == 2
+
+
+def overflowing_pair():
+    """Two agents, each free to take either of two resources worth 1e308;
+    the optimum, one agent on each, overflows to inf."""
+    return al.GameInstance(
+        welfare=al.SeparableWelfare(curves=((0.0, 1e308, 1e308),) * 2),
+        action_sets=(({0}, {1}),) * 2,
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+        compromise=(Compromise.NORMAL,) * 2,
+    )
+
 
 def chain_inputs(game):
     report = al.instance_poa(game)
@@ -1266,9 +1287,34 @@ class TestWorstCaseSearch:
         _, report = al.worst_case_search(config)
         assert report.ratio >= 0.5 - al.TOLERANCE
 
+    def test_skips_candidates_with_an_overflowing_optimum(self, monkeypatch):
+        # two resources of 1e308 overflow where one does not
+        reports = []
+
+        def instance_poa(game):
+            reports.append(poa(game))
+            return reports[-1]
+
+        poa = equilibrium.instance_poa
+        monkeypatch.setattr(equilibrium, "instance_poa", instance_poa)
+        config = al.SearchConfig(
+            n=2,
+            k=0,
+            labels=(),
+            utility_class=UtilityClass.GENERAL_VUG,
+            value_grid=(1e308,),
+            budget=5,
+            seed=0,
+            max_resources=3,
+        )
+        _, report = al.worst_case_search(config)
+        assert report.ratio == 1.0
+        assert report.bound_satisfied
+        assert any(r.opt_welfare == math.inf and r.ratio is None for r in reports)
+
     def test_skips_candidates_past_the_enumeration_cap(self, monkeypatch):
-        # three samples of 2^16 profiles and one of 12,754,584, which is
-        # skipped unanalysed
+        # three samples of 2^16 profiles and, second, one of 12,754,584,
+        # which is skipped unanalysed
         analysed = []
 
         def instance_poa(game):
@@ -1284,7 +1330,7 @@ class TestWorstCaseSearch:
             utility_class=UtilityClass.MARGINAL_CONTRIBUTION,
             value_grid=(0.5, 1.0),
             budget=4,
-            seed=28,
+            seed=2927,
             max_resources=2,
         )
         rng = random.Random(config.seed)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anarchy_lab as al
-from anarchy_lab import Compromise
+from anarchy_lab import EMPTY_ACTION, Compromise, SeparableWelfare, Utility
+from anarchy_lab.instances import _labels_for, _step_curve
 from test_equilibrium import coverage_game
 
 
@@ -21,6 +22,129 @@ def label_mixes(k):
         tuple(mix)
         for mix in itertools.product((Compromise.BLIND, Compromise.ISOLATED), repeat=k)
     ]
+
+
+def reference_hub_families():
+    """The three hub families as separate constructors, each building the
+    layout itself: the oracle for the shared builder behind ``gen_k_blind``,
+    ``gen_mc_blind`` and ``gen_sim_game``."""
+    def k_blind(n, k, eps, delta, labels=None):
+        if not 0 <= k < n:
+            raise ValueError("need 0 <= k < n")
+        labs = _labels_for(k, labels)
+        if any(l is Compromise.DISABLED for l in labs):
+            raise ValueError("this family takes blind or isolated labels only")
+        curves = [_step_curve(1.0, n)]
+        for _ in range(k):
+            curves.append(_step_curve(1.0 - eps, n))
+        for _ in range(n - 1 - k):
+            curves.append(_step_curve(1.0 / n - delta, n))
+        action_sets = []
+        for i in range(n):
+            if i < n - 1:
+                action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
+            else:
+                action_sets.append((EMPTY_ACTION, frozenset({0})))
+        compromise = list(labs) + [Compromise.NORMAL] * (n - k)
+        return al.GameInstance(
+            welfare=SeparableWelfare(curves=tuple(curves)),
+            action_sets=tuple(action_sets),
+            utilities=(Utility.EQUAL_SHARE,) * n,
+            compromise=tuple(compromise),
+        )
+
+    def mc_blind(n, k, eps, labels=None):
+        if not 0 <= k <= n:
+            raise ValueError("need 0 <= k <= n")
+        labs = _labels_for(k, labels)
+        if any(l is Compromise.DISABLED for l in labs):
+            raise ValueError("this family takes blind or isolated labels only")
+        curves = [_step_curve(1.0 + eps, n)]
+        for _ in range(k):
+            curves.append(_step_curve(1.0, n))
+        action_sets = []
+        for i in range(n):
+            if i < k:
+                action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
+            else:
+                action_sets.append((EMPTY_ACTION, frozenset({0})))
+        compromise = list(labs) + [Compromise.NORMAL] * (n - k)
+        return al.GameInstance(
+            welfare=SeparableWelfare(curves=tuple(curves)),
+            action_sets=tuple(action_sets),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+            compromise=tuple(compromise),
+        )
+
+    def sim(n, k, eps, labels=None):
+        if k != n - 1:
+            raise ValueError("this family has exactly one uncompromised agent (k = n-1)")
+        labs = _labels_for(k, labels)
+        if any(l is Compromise.DISABLED for l in labs):
+            raise ValueError("this family takes blind or isolated labels only")
+        curves = [_step_curve(1.0, n)]
+        curves += [_step_curve(1.0 - eps, n) for _ in range(k)]
+        curves.append(_step_curve(eps, n))
+        action_sets = []
+        for i in range(k):
+            action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({i + 1})))
+        action_sets.append((EMPTY_ACTION, frozenset({0}), frozenset({k + 1})))
+        compromise = list(labs) + [Compromise.NORMAL]
+        return al.GameInstance(
+            welfare=SeparableWelfare(curves=tuple(curves)),
+            action_sets=tuple(action_sets),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+            compromise=tuple(compromise),
+        )
+
+    return {
+        "k_blind": (al.gen_k_blind, k_blind),
+        "mc_blind": (al.gen_mc_blind, mc_blind),
+        "sim": (al.gen_sim_game, sim),
+    }
+
+
+def document_or_error(gen, *args):
+    try:
+        return al.serialize(gen(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def hub_label_options(k):
+    """Seven label arguments for k compromised agents: the default, the
+    three blind/isolated mixes, two rejected labels and a list one too long."""
+    k = max(k, 0)
+    mixed = [Compromise.BLIND if i % 2 == 0 else Compromise.ISOLATED for i in range(k)]
+    return [
+        None,
+        [Compromise.BLIND] * k,
+        [Compromise.ISOLATED] * k,
+        mixed,
+        [Compromise.DISABLED] * k,
+        ["normal"] * k,
+        [Compromise.BLIND] * (k + 1),
+    ]
+
+
+@pytest.mark.parametrize("family", ["k_blind", "mc_blind", "sim"])
+def test_hub_families_match_their_separate_constructors(family):
+    # serialized bytes, or the same error type and message, for n = 0..13,
+    # every k from -1 to n+1, seven label options and three eps/delta
+    # pairs (the last makes 1/n - delta negative for n > 1)
+    gen, reference = reference_hub_families()[family]
+    compared = 0
+    for n in range(14):
+        for k in range(-1, n + 2):
+            for labels in hub_label_options(k):
+                for eps, delta in ((0.01, 0.01), (0.25, 0.1), (1e-9, 0.6)):
+                    args = (n, k, eps, delta, labels)
+                    if family != "k_blind":
+                        args = (n, k, eps, labels)
+                    expected = document_or_error(reference, *args)
+                    assert document_or_error(gen, *args) == expected, args
+                    compared += 1
+    assert compared == 2793
 
 
 class TestHubFamily:

@@ -52,6 +52,18 @@ def _cell(x) -> str:
     return str(x)
 
 
+def _json(doc, **kwargs) -> str:
+    """``doc`` as strict JSON (RFC 8259): a non-finite float, at any depth
+    of lists and dicts, is written as null, not as ``Infinity`` or ``NaN``."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        return [finite(v) for v in x] if isinstance(x, (list, tuple)) else x
+    return json.dumps(finite(doc), allow_nan=False, **kwargs)
+
+
 def _profile_json(profile):
     if profile is None:
         return None
@@ -185,7 +197,7 @@ def cmd_check(args) -> int:
     if failure is not None:
         print(f"violation [{failure.kind}]: {failure.message}")
         if failure.witness:
-            print(f"witness: {json.dumps(failure.witness, sort_keys=True)}")
+            print(f"witness: {_json(failure.witness, sort_keys=True)}")
     return EXIT_OK if vug.ok else EXIT_VALIDATION
 
 
@@ -193,7 +205,7 @@ def cmd_pne(args) -> int:
     game = _read_instance(args.instance)
     eqs = eq.enumerate_pne(game)
     rows = [
-        (idx, w, json.dumps(_profile_json(p)))
+        (idx, w, _json(_profile_json(p)))
         for idx, (p, w) in enumerate(zip(eqs.profiles, eqs.welfares))
     ]
     print(f"pure Nash equilibria: {len(rows)}")
@@ -207,7 +219,7 @@ def cmd_pne(args) -> int:
                 for p, w in zip(eqs.profiles, eqs.welfares)
             ],
         }
-        _write_text(args.json, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.json, _json(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -239,7 +251,7 @@ def cmd_poa(args) -> int:
     print(f"theoretical bound:   {_value(report.theoretical_bound)}")
     print(f"bound satisfied:     {_cell(report.bound_satisfied)}")
     if args.json:
-        _write_text(args.json, json.dumps(_poa_doc(report), indent=2) + "\n")
+        _write_text(args.json, _json(_poa_doc(report), indent=2) + "\n")
     if report.bound_satisfied is False:
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -338,7 +350,7 @@ def cmd_bounds(args) -> int:
         ("k", "labels", "ratio", "bound", "satisfied", "chains"), rows
     )
     if args.json:
-        _write_text(args.json, json.dumps(docs, indent=2) + "\n")
+        _write_text(args.json, _json(docs, indent=2) + "\n")
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 
@@ -388,7 +400,7 @@ def cmd_search(args) -> int:
     if args.out:
         _write_text(args.out, inst.serialize(game))
     if args.report:
-        _write_text(args.report, json.dumps(_poa_doc(report), indent=2) + "\n")
+        _write_text(args.report, _json(_poa_doc(report), indent=2) + "\n")
     if report.bound_satisfied is False:
         return EXIT_BOUND_VIOLATION
     return EXIT_OK

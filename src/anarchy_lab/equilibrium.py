@@ -258,16 +258,17 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
             continue
         a = tuple(acts)
         for i in still:
+            ctx = eng.context(a, eng.sees[i])
             if separable:
-                ok = _best_responds(eng.utilities(i, vis, a[i]), idxs[i])
+                ok = _best_responds(eng.utilities(i, ctx), idxs[i])
             else:
                 # a table's test reads the agent's action and observed base
                 # set only, so each is run once: at most one entry per
                 # agent, action and table entry is kept
-                key = (i, idxs[i], eng.context(a, eng.sees[i]))
+                key = (i, idxs[i], ctx)
                 ok = passes.get(key)
                 if ok is None:
-                    ok = passes[key] = _best_responds(eng.utilities(i, key[2]), idxs[i])
+                    ok = passes[key] = _best_responds(eng.utilities(i, ctx), idxs[i])
             if not ok:
                 break
         else:
@@ -320,12 +321,6 @@ class _TermBounds:
             {r for j in cand for r in eng.act_res[i][j]} if eng.visible[i] else ()
             for i, cand in enumerate(candidates)
         ]
-        reach = [{r for res in eng.act_res[i] for r in res} for i in range(n)]
-        # watch[d]: the earlier normal agents whose bounds agent d can move
-        self.watch = [
-            {i for i in normal if i < d and not reach[i].isdisjoint(touched[d])}
-            for d in range(n)
-        ]
         self.normal = set(normal)
         rem = [[0] * m]
         for d in reversed(range(n)):
@@ -334,7 +329,7 @@ class _TermBounds:
                 row[r] += 1
             rem.append(row)
         rem.reverse()
-        used = sorted(set().union(*(reach[i] for i in normal)))
+        used = sorted({r for i in normal for res in eng.act_res[i] for r in res})
         # lo[i][D][r][c], hi[i][D][r][c]: extremes of agent i's term for
         # resource r over the counts c .. c + rem[D][r]
         self.lo, self.hi = [None] * n, [None] * n
@@ -358,15 +353,12 @@ class _TermBounds:
         """The normal agents up to d left undecided once agent d plays
         action ``idxs[d]``, or None if one of them fails below this node."""
         still = []
-        watch = self.watch[d]
         for i in (d, *undecided) if d in self.normal else undecided:
-            if i == d or i in watch:
-                verdict = self._verdict(i, idxs[i], d + 1, vis)
-                if verdict < 0:
-                    return None
-                if verdict > 0:
-                    continue
-            still.append(i)
+            verdict = self._verdict(i, idxs[i], d + 1, vis)
+            if verdict < 0:
+                return None
+            if verdict == 0:
+                still.append(i)
         return still
 
     def _verdict(self, i: int, x: int, depth: int, vis) -> int:
@@ -578,31 +570,21 @@ def _classify(game: GameInstance):
     return k, any_disabled, any_blind, klass
 
 
-def instance_poa(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> PoAReport:
+def instance_poa(game: GameInstance) -> PoAReport:
     """Worst equilibrium welfare over the optimum, with the class bound.
 
     Games with no pure Nash equilibrium, an all-zero optimum or an optimum
     that overflows to inf report an undefined ratio and are excluded from
     bound checks.
     """
-    eqs = enumerate_pne(game, cap=cap)
-    opt_w, opt_a = optimal_welfare(game, cap=cap)
+    eqs = enumerate_pne(game)
+    opt_w, opt_a = optimal_welfare(game)
     k, any_disabled, any_blind, klass = _classify(game)
     bound = theoretical_poa(game.n, k, any_disabled, any_blind, klass)
-    worst = eqs.worst()
-    if worst is None or not TOLERANCE < opt_w < math.inf:
-        return PoAReport(
-            opt_welfare=opt_w,
-            opt_profile=opt_a,
-            worst_ne_welfare=None if worst is None else worst[0],
-            worst_ne_profile=None if worst is None else worst[1],
-            ratio=None,
-            theoretical_bound=bound,
-            bound_satisfied=None,
-            pne_count=len(eqs.profiles),
-        )
-    worst_w, worst_a = worst
-    ratio = worst_w / opt_w
+    worst_w, worst_a = eqs.worst() or (None, None)
+    ratio = None
+    if worst_a is not None and TOLERANCE < opt_w < math.inf:
+        ratio = worst_w / opt_w
     return PoAReport(
         opt_welfare=opt_w,
         opt_profile=opt_a,
@@ -610,7 +592,7 @@ def instance_poa(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> PoAReport:
         worst_ne_profile=worst_a,
         ratio=ratio,
         theoretical_bound=bound,
-        bound_satisfied=ratio >= bound - TOLERANCE,
+        bound_satisfied=None if ratio is None else ratio >= bound - TOLERANCE,
         pne_count=len(eqs.profiles),
     )
 

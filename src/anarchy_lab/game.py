@@ -513,17 +513,12 @@ class _Engine:
                 f"no welfare table entry for base set {sorted(ctx)}"
             ) from None
 
-    def utilities(self, i: int, ctx, own: Action = EMPTY_ACTION) -> list:
+    def utilities(self, i: int, ctx) -> list:
         """Agent i's designed utility for each of its actions, played on top
-        of the context ``ctx``, which must exclude agent i. Separable
-        contexts may still hold one selection of each resource in ``own``
-        (agent i's current action), which is then taken off for the call;
-        cheaper than building the context afresh."""
+        of the context ``ctx``, which must exclude agent i."""
         if not self.separable:
             base = self.value(ctx)
             return [self.value(ctx | act) - base for act in self.actions[i]]
-        for r in own:
-            ctx[r] -= 1
         terms = self.terms[i]
         out = []
         for res in self.act_res[i]:
@@ -531,8 +526,6 @@ class _Engine:
             for r in res:
                 u += terms[r][ctx[r]]
             out.append(u)
-        for r in own:
-            ctx[r] += 1
         return out
 
     def profile(self, idxs) -> JointAction:
@@ -667,15 +660,14 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     (per-resource counts for separable welfare, base sets for tabulated), and
     compared by count dominance resp. base-set inclusion. Each context gets
     the list of contexts strictly above it, built once for the full profiles
-    and once per agent for all its actions; a context's list is walked pair
-    by pair only when its extreme value shows a violation, so the report
-    names the first violating pair of a plain pair scan and counts the pairs
-    such a scan compares. A table with no entry for a base set the agents
-    can form, ∅ included, gives a ``table-missing`` report. Refuses games
-    with more than ``DEFAULT_CHECK_CAP`` profiles, since the scan of
-    :func:`check_vug` walks every one, and games whose distinct full
-    selections give more than 4,000,000 ordered pairs, since the lists of
-    contexts above each one take time quadratic in their number.
+    and once per agent for all its actions, and walked pair by pair, so the
+    report names the first violating pair and counts the pairs compared. A
+    table with no entry for a base set the agents can form, ∅ included,
+    gives a ``table-missing`` report. Refuses games with more than
+    ``DEFAULT_CHECK_CAP`` profiles, since the scan of :func:`check_vug`
+    visits every one, and games whose distinct full selections give more
+    than 4,000,000 ordered pairs, since the lists of contexts above each
+    one take time quadratic in their number.
     """
     _require_cap(game)
     eng = game._engine
@@ -706,16 +698,13 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
         ]
 
     def first_violation(margins, dominators):
-        # the first pair with margins[s] < margins[b] - TOLERANCE; fl(x - t)
-        # is monotone in x, so the max over s's list shows whether one exists
-        # (a NaN, possible only after overflow, sends s to the walk)
+        # the first pair with margins[s] < margins[b] - TOLERANCE
         nonlocal pairs_checked
         for s, bs in enumerate(dominators):
-            if bs and not margins[s] >= max(map(margins.__getitem__, bs)) - TOLERANCE:
-                for seen, b in enumerate(bs, 1):
-                    if margins[s] < margins[b] - TOLERANCE:
-                        pairs_checked += seen
-                        return s, b
+            for seen, b in enumerate(bs, 1):
+                if margins[s] < margins[b] - TOLERANCE:
+                    pairs_checked += seen
+                    return s, b
             pairs_checked += len(bs)
         return None
 
@@ -784,11 +773,10 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     For separable welfare with the assigned MC/ES utilities, where that
     report is ok, the kernel's certificate settles both conditions and the
     tightness per resource (``path="certificate"``, no profile walked).
-    Otherwise the profiles are walked depth first in :func:`all_profiles`
-    order, one selection-count list updated as each agent's action is
-    entered and left, so W(a), W(a₋ᵢ) and equal shares are the per-profile
-    functions' floats; the walk refuses more than ``DEFAULT_CHECK_CAP``
-    profiles.
+    Otherwise every profile is scanned in :func:`all_profiles` order, its
+    context built once and each W(a₋ᵢ) read off it with agent i taken out,
+    so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats;
+    the scan refuses more than ``DEFAULT_CHECK_CAP`` profiles.
     """
     welfare_report = check_submodular(game)
     _, valid, tight = game._engine.certificate
@@ -798,7 +786,7 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
 
 
 def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
-    """The profile walk behind :func:`check_vug`, on top of the welfare
+    """The profile scan behind :func:`check_vug`, on top of the welfare
     report ``welfare_report``."""
     _require_cap(game)
     eng = game._engine
@@ -810,55 +798,36 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     failure: Optional[CheckFinding] = None
     profiles = 0
 
-    counts = [0] * eng.m  # selection counts of agents 0..d
-    acts = [EMPTY_ACTION] * n
-    idxs = [-1] * n  # agent d's current action index, -1 before its first
-
     def opt_out(i: int) -> float:
         """W(a₋ᵢ); tabulated welfare builds the base set afresh."""
         if not separable:
-            return value(eng.context(acts[:i] + acts[i + 1 :]))
+            return value(eng.context(a[:i] + a[i + 1 :]))
         res = act_res[i][idxs[i]]
         for r in res:
-            counts[r] -= 1
-        v = value(counts)
+            ctx[r] -= 1
+        v = value(ctx)
         for r in res:
-            counts[r] += 1
+            ctx[r] += 1
         return v
 
-    d = 0
-    while d >= 0:
-        j = idxs[d]
-        if j >= 0:  # take agent d's previous action back
-            for r in act_res[d][j]:
-                counts[r] -= 1
-        j += 1
-        if j == len(eng.actions[d]):
-            idxs[d] = -1
-            d -= 1
-            continue
-        idxs[d] = j
-        acts[d] = eng.actions[d][j]
-        for r in act_res[d][j]:
-            counts[r] += 1
-        if d + 1 < n:
-            d += 1
-            continue
+    for idxs in itertools.product(*(range(len(acts)) for acts in eng.actions)):
+        a = eng.profile(idxs)
+        ctx = eng.context(a)
         # one W(a) per profile and at most one opt-out welfare per agent
         profiles += 1
-        w = value(counts if separable else eng.context(acts))
+        w = value(ctx)
         total = 0.0
         for i in range(n):
             marginal = None
             if utility_fn is not None:
-                u = utility_fn(game, i, tuple(acts))
+                u = utility_fn(game, i, a)
             elif eng.is_mc[i]:
                 u = marginal = w - opt_out(i)
             else:  # equal share, summed in sorted resource order
                 u = 0.0
                 terms = eng.terms[i]
                 for r in act_res[i][idxs[i]]:
-                    u += terms[r][counts[r] - 1]
+                    u += terms[r][ctx[r] - 1]
             total += u
             if not cond2_ok:
                 continue
@@ -872,7 +841,7 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
                         f"agent {i}'s utility is below its marginal contribution",
                         {
                             "agent": i,
-                            "profile": [sorted(x) for x in acts],
+                            "profile": [sorted(x) for x in a],
                             "utility": u,
                             "marginal": marginal,
                         },
@@ -885,7 +854,7 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
                     "utility-sum-exceeds-welfare",
                     "utilities sum above the welfare",
                     {
-                        "profile": [sorted(x) for x in acts],
+                        "profile": [sorted(x) for x in a],
                         "utility_sum": total,
                         "welfare": w,
                     },

@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON, refusing the non-standard NaN and Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestGen:
     def test_generated_instance_is_valid(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -263,6 +272,30 @@ class TestAnalysis:
             "bound satisfied:     -\n"
         )
         assert cli._chains_ok(game, al.instance_poa(game)) is None
+
+    @pytest.mark.parametrize("command", ["poa", "pne"])
+    def test_overflowing_values_are_written_as_strict_json(self, command, tmp_path, capsys):
+        # an inf welfare used to be written as the bare token Infinity
+        path = tmp_path / "overflow.json"
+        path.write_text(al.serialize(overflowing_pair()))
+        report = tmp_path / "report.json"
+        run(capsys, command, "--instance", str(path), "--json", str(report))
+        doc = strict_json(report.read_text())
+        if command == "poa":
+            assert doc["opt_welfare"] is None and doc["worst_ne_welfare"] is None
+            assert doc["theoretical_bound"] == 0.5
+        else:
+            assert [e["welfare"] for e in doc["equilibria"]] == [None, None]
+
+    def test_overflowing_witness_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(al.serialize(overflowing_pair()))
+        code, out, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 2
+        (line,) = [l for l in out.splitlines() if l.startswith("witness: ")]
+        witness = strict_json(line[len("witness: "):])
+        assert witness["margin_at_larger"] is None
+        assert witness["margin_at_smaller"] == 1e308
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
         # a table is scanned, and the scan walks every profile: 3^12 of

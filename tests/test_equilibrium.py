@@ -708,7 +708,7 @@ class TestInstancePoa:
         g = al.gen_k_blind(3, 1, 0.01, 0.01)
         opt = al.optimal_welfare(g)
         empty = equilibrium.EquilibriumSet(profiles=(), welfares=())
-        monkeypatch.setattr(equilibrium, "enumerate_pne", lambda game, cap: empty)
+        monkeypatch.setattr(equilibrium, "enumerate_pne", lambda game: empty)
         report = al.instance_poa(g)
         assert (report.opt_welfare, report.opt_profile) == opt
         assert report.worst_ne_welfare is None

@@ -13,16 +13,20 @@ an uncached per-step update with ``random.Random(seed)`` would draw:
 
 - the agent is drawn by rejection from ``getrandbits``, which is how
   CPython's ``Random.randrange`` draws it, so the random stream is the same;
-- its sampling distribution is built on first use and kept for the call:
-  one per agent for an agent that sees nobody (blind and isolated agents),
-  else one per agent, current action and visible counts it observes (only
-  those of the resources its actions touch, for separable welfare). A
-  distribution holds the running sums of its probabilities, so every draw
-  is the same;
+- each agent holds its current sampling distribution, the running sums of
+  its probabilities, so every draw is the same and a step whose agent keeps
+  its action costs only its draws. A distribution depends on the agent's
+  observed context alone: nothing for an agent that sees nobody (blind and
+  isolated agents), else the counts of the visible agents at the resources
+  its actions touch (separable welfare) or the base set they form
+  (tabulated welfare). A move that changes an agent's observed context voids
+  its distribution, which is then looked up in a per-call cache keyed by
+  the agent and that context, so one softmax is built per context visited;
 - the welfare is updated in place when the agent switches: separable
   welfare by the changes of the curves at the old action's resources, then
-  the new action's, tabulated welfare by a table read whenever a count
-  crosses zero.
+  the new action's, tabulated welfare by a read, keyed by the base set's
+  bit mask, whenever a count crosses zero. The minimum, maximum and trace
+  are taken at the switches too.
 
 :func:`random_play_baseline` runs the same loop with a uniform action draw.
 """
@@ -154,13 +158,6 @@ def _softmax(utilities, T: float):
     return [w / total for w in weights]
 
 
-def _draw(cum, r: float) -> int:
-    """The action drawn by ``r`` given the running sums ``cum`` of the
-    probabilities: the first index whose sum exceeds r, else the last."""
-    j = bisect.bisect_right(cum, r)
-    return j if j < len(cum) else j - 1
-
-
 def action_distribution(game: GameInstance, i: int, a: JointAction, T: float):
     """Softmax sampling distribution over agent i's actions at profile ``a``.
 
@@ -217,9 +214,10 @@ def _play(
     validate_joint_action(game, a0)
     upd = _updatable(game)
     eng = game._engine
-    act_res, visible, value = eng.act_res, eng.visible, eng.value
+    act_res, visible, value, sees = eng.act_res, eng.visible, eng.value, eng.sees
     separable = eng.separable
     curves = eng.curves if separable else None
+    every = range(eng.m)
     idxs = [acts.index(a0[i]) for i, acts in enumerate(eng.actions)]
     counts = [0] * eng.m
     vis = [0] * eng.m  # selections by visible agents
@@ -227,96 +225,123 @@ def _play(
         for r in act:
             counts[r] += 1
             vis[r] += visible[i]
-    # tabulated welfare is read on the first step: a0's base set may lack an entry
-    w = value(counts) if separable else None
-    # the resources whose visible counts agent i's distribution depends on,
-    # None if it sees nobody: those its actions touch for separable welfare,
-    # every resource for tabulated welfare, which depends on the base set
-    everything = tuple(range(eng.m))
-    touched = [
-        None if not eng.sees[i]
-        else tuple(sorted(set().union(*res))) if separable
-        else everything
-        for i, res in enumerate(act_res)
-    ]
-    solo = [None] * eng.n  # the one distribution of each agent that sees nobody
-    cache = {}  # the others', by (agent, action index, visible counts touched)
+    mask = sum([1 << r for r in every if counts[r]])  # the base set's bits
+    known = {}  # table welfare by base-set mask
+    # None if a0's base set has no table entry: the error is raised only if
+    # step 0 keeps that base set, as a plain per-step update would
+    w = value(counts) if separable else eng.table.get(frozenset([r for r in every if counts[r]]))
+    # Only normal agents observe others: every visible agent but themselves.
+    # An observer's softmax depends on the counts it sees at the resources
+    # its actions touch, or on the base set it sees for tabulated welfare;
+    # watch[r] lists the observers a move on resource r can affect.
+    touched = [tuple(sorted(set().union(*res))) for res in act_res]
+    observers = [a for a in range(eng.n) if sees[a]]
+    watch = [[a for a in observers if not separable or r in touched[a]] for r in every]
+    cur = [None] * eng.n  # each agent's distribution at its observed context
+    cache = {}  # distributions by (agent, observed context)
 
     def distribution(i):
-        ctx = eng.context(eng.profile(idxs), eng.sees[i])
-        return list(itertools.accumulate(_softmax(eng.utilities(i, ctx), T)))
+        # i's distribution at its observed context: the running sums of its
+        # probabilities but the last, so bisect_right over them is the
+        # inverse-CDF draw, and an r past them all draws the last action
+        own = eng.actions[i][idxs[i]]
+        if not sees[i]:
+            key = ctx = eng.empty
+        elif separable:
+            key, ctx = tuple([vis[r] - (r in own) for r in touched[i]]), None
+        else:
+            key = ctx = frozenset([r for r in every if vis[r] > (r in own)])
+        cum = cache.get((i, key))
+        if cum is None:
+            if len(cache) >= _CACHE_LIMIT:
+                cache.clear()
+            if ctx is None:
+                ctx = [vis[r] - (r in own) for r in every]
+            probs = _softmax(eng.utilities(i, ctx), T)
+            cum = cache[i, key] = list(itertools.accumulate(probs[:-1]))
+        return cum
 
     rng = random.Random(seed)
     getrandbits, rand, randrange = rng.getrandbits, rng.random, rng.randrange
-    n_upd = len(upd)
-    bits = n_upd.bit_length()
-    total = 0.0
-    total_sq = 0.0
-    w_min = math.inf
-    w_max = -math.inf
-    trace = [] if keep_trace else None
-    for step in range(steps):
-        # rng.randrange(n_upd), as CPython's Random._randbelow draws it
-        i = getrandbits(bits)
-        while i >= n_upd:
-            i = getrandbits(bits)
-        i = upd[i]
-        old = idxs[i]
-        if T is None:
-            j = randrange(len(act_res[i]))
-        else:
-            keys = touched[i]
-            if keys is None:
-                cum = solo[i]
-                if cum is None:
-                    cum = solo[i] = distribution(i)
-            else:
-                key = (i, old, tuple([vis[r] for r in keys]))
-                cum = cache.get(key)
-                if cum is None:
-                    if len(cache) >= _CACHE_LIMIT:
-                        cache.clear()
-                    cum = cache[key] = distribution(i)
-            j = _draw(cum, rand())
-        if j != old:
-            res_old = act_res[i][old]
-            res_new = act_res[i][j]
-            if separable:
-                for r in res_old:
-                    c = counts[r]
-                    counts[r] = c - 1
-                    w += curves[r][c - 1] - curves[r][c]
-                for r in res_new:
-                    c = counts[r]
-                    counts[r] = c + 1
-                    w += curves[r][c + 1] - curves[r][c]
-            else:
-                # the base set changes only where a count crosses zero
-                for r in res_new:
-                    if not counts[r]:
-                        w = None
-                    counts[r] += 1
-                for r in res_old:
-                    counts[r] -= 1
-                    if not counts[r]:
-                        w = None
-            if visible[i]:
-                for r in res_old:
-                    vis[r] -= 1
-                for r in res_new:
-                    vis[r] += 1
-            idxs[i] = j
-        if w is None:
-            w = value(frozenset([r for r, c in enumerate(counts) if c]))
-        if trace is not None:
-            trace.append(w)
-        if step >= burn_in:
-            total += w
-            total_sq += w * w
-            if w < w_min:
-                w_min = w
-            if w > w_max:
-                w_max = w
+    bisect_right = bisect.bisect_right
+    # rng.randrange(len(upd)) as CPython's Random._randbelow draws it: a
+    # getrandbits value past the agent count is rejected
+    bits = len(upd).bit_length()
+    pick = upd + [None] * ((1 << bits) - len(upd))
+    ww = None if w is None else w * w
+    w_min, w_max = math.inf, -math.inf
+    changes = [(0, w)] if keep_trace else None  # (step, welfare from then on)
+    try:
+        for lo, hi in ((0, burn_in), (burn_in, steps)):
+            total = total_sq = 0.0  # the burn-in's sums are dropped
+            for step in range(lo, hi):
+                i = pick[getrandbits(bits)]
+                while i is None:
+                    i = pick[getrandbits(bits)]
+                old = idxs[i]
+                if T is None:
+                    j = randrange(len(act_res[i]))
+                else:
+                    cum = cur[i]
+                    if cum is None:
+                        cum = cur[i] = distribution(i)
+                    j = bisect_right(cum, rand())
+                if j != old:
+                    if step > burn_in:  # kept steps held the old welfare
+                        if w < w_min:
+                            w_min = w
+                        if w > w_max:
+                            w_max = w
+                    res_old = act_res[i][old]
+                    res_new = act_res[i][j]
+                    if separable:
+                        for r in res_old:
+                            c = counts[r] = counts[r] - 1
+                            w += curves[r][c] - curves[r][c + 1]
+                        for r in res_new:
+                            c = counts[r] = counts[r] + 1
+                            w += curves[r][c] - curves[r][c - 1]
+                    else:
+                        # the base set changes only where a count crosses zero
+                        for r in res_new:
+                            if not counts[r]:
+                                mask ^= 1 << r
+                            counts[r] += 1
+                        for r in res_old:
+                            counts[r] -= 1
+                            if not counts[r]:
+                                mask ^= 1 << r
+                        w = known.get(mask)
+                        if w is None:
+                            w = known[mask] = value(frozenset([r for r in every if counts[r]]))
+                    ww = w * w
+                    if visible[i]:
+                        keep = cur[i]  # i does not observe itself
+                        for r in res_old:
+                            vis[r] -= 1
+                            for a in watch[r]:
+                                cur[a] = None
+                        for r in res_new:
+                            vis[r] += 1
+                            for a in watch[r]:
+                                cur[a] = None
+                        cur[i] = keep
+                    idxs[i] = j
+                    if changes is not None:
+                        changes.append((step, w))
+                total += w
+                total_sq += ww
+    except TypeError:  # None added to the sums: step 0 kept a hole in the table
+        if w is not None:
+            raise
+    if w is None:  # step 0 kept a0's base set, which has no table entry
+        value(frozenset([r for r in every if counts[r]]))
+    w_min, w_max = min(w_min, w), max(w_max, w)  # the last welfare is kept
+    trace = None
+    if changes is not None:
+        trace = []
+        for (s, v), (e, _) in zip(changes, changes[1:] + [(steps, None)]):
+            trace += [v] * (e - s)
     count = steps - burn_in
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)

@@ -1,5 +1,6 @@
 """Log-linear learning: sampling distribution, trajectories, sweeps."""
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility
 from anarchy_lab import learning
-from anarchy_lab.learning import _draw, _softmax
+from anarchy_lab.learning import _softmax
 
 
 def two_action_game(v0, v1):
@@ -81,18 +82,21 @@ class TestActionDistribution:
     )
     @settings(max_examples=200, deadline=None)
     def test_draw_from_running_sums_equals_sample_index(self, utilities, temperature):
+        # the runner draws bisect_right over the running sums without the
+        # last, so an r past them takes the last action
         probs = _softmax(utilities, temperature)
         cum = list(itertools.accumulate(probs))
         edges = [0.0, 1.0 - 2.0**-53] + cum
         for r in edges + [math.nextafter(x, 0.0) for x in edges]:
             if 0.0 <= r < 1.0:
-                assert _draw(cum, r) == sample_index(probs, r)
+                assert bisect.bisect_right(cum[:-1], r) == sample_index(probs, r)
 
     def test_draw_past_a_total_below_one_takes_the_last_action(self):
         probs = _softmax([0.0] * 7, 1.0)
         cum = list(itertools.accumulate(probs))
         assert cum[-1] < 1.0 - 2.0**-53
-        assert _draw(cum, 1.0 - 2.0**-53) == sample_index(probs, 1.0 - 2.0**-53) == 6
+        r = 1.0 - 2.0**-53
+        assert bisect.bisect_right(cum[:-1], r) == sample_index(probs, r) == 6
 
 
 class TestStep:
@@ -426,7 +430,12 @@ class TestCachedRunner:
         for game, rng in mixed_games(12):
             a0 = random_start(game, rng)
             seed = rng.randrange(2**32)
-            for start, burn_in in ((None, 0), (a0, 37)):
+            # the last step alone kept, and a kept range that opens with a switch
+            walk = reference_walk(game, seed, softmax_choice(game, T), a0)
+            profiles = [a0] + [current for _, current in itertools.islice(walk, 400)]
+            switches = [k for k in range(400) if profiles[k + 1] != profiles[k]]
+            burn_ins = [399] + switches[len(switches) // 2 :][:1]
+            for start, burn_in in [(None, 0), (a0, 37)] + [(a0, b) for b in burn_ins]:
                 got = al.lll_run(game, T, 400, seed, a0=start, burn_in=burn_in, keep_trace=True)
                 want = reference_lll_run(game, T, 400, seed, a0=start, burn_in=burn_in, keep_trace=True)
                 assert got == want, game
@@ -446,8 +455,8 @@ class TestCachedRunner:
 
     def test_builds_few_distributions_on_the_simulation_game(self, monkeypatch):
         # nine blind agents have one distribution each; the normal agent's
-        # depends on its action and the visible counts of the resources its
-        # actions touch, so few keys exist however long the run
+        # depends on the counts it observes at the resources its actions
+        # touch, so few contexts exist however long the run
         calls = []
 
         def counting_softmax(utilities, T):
@@ -457,6 +466,37 @@ class TestCachedRunner:
         monkeypatch.setattr(learning, "_softmax", counting_softmax)
         al.lll_run(al.gen_sim_game(10, 9, 0.05), T=0.001, steps=30_000, seed=1)
         assert 0 < len(calls) < 100
+
+    def test_builds_one_softmax_per_observed_context(self, monkeypatch):
+        # the simulation game's welfare written out as a table: at a high
+        # temperature the normal agent observes many base sets, and each
+        # (agent, observed context) pair costs exactly one softmax
+        sep = al.gen_sim_game(10, 9, 0.05)
+        values = [curve[1] for curve in sep.welfare.curves]
+        table = {
+            frozenset(s): sum(values[r] for r in s)
+            for size in range(len(values) + 1)
+            for s in itertools.combinations(range(len(values)), size)
+        }
+        game = dataclasses.replace(
+            sep, welfare=al.TabulatedWelfare.from_mapping(table, len(values))
+        )
+        calls, contexts = [], set()
+        eng = game._engine
+        utilities = eng.utilities
+
+        def counting_softmax(utilities, T):
+            calls.append(1)
+            return _softmax(utilities, T)
+
+        def recording_utilities(i, ctx):
+            contexts.add((i, ctx))
+            return utilities(i, ctx)
+
+        monkeypatch.setattr(learning, "_softmax", counting_softmax)
+        monkeypatch.setattr(eng, "utilities", recording_utilities)
+        al.lll_run(game, T=10.0, steps=10_000, seed=1)
+        assert len(calls) == len(contexts) > 100
 
     @pytest.mark.parametrize("updatable", [1, 2, 3, 8, 9, 17])
     def test_equals_the_reference_for_any_number_of_updatable_agents(self, updatable):
@@ -476,26 +516,39 @@ class TestCachedRunner:
                     assert got == reference_lll_run(game, T, 300, seed, keep_trace=True)
 
     def test_a_missing_table_entry_raises_at_the_reference_step(self):
-        raised = 0
+        # from the empty profile, and from a start whose base set has no
+        # entry: its entry is read only if step 0 keeps that base set
+        raised = left = stayed = 0
         for g in range(40):
             rng = random.Random(g)
             labels = [rng.choice(LABELS) for _ in range(rng.randint(1, 5))] + [Compromise.NORMAL]
             game = coverage_game(rng, labels, holes=0.15)
             seed = rng.randrange(2**32)
-            walk = reference_walk(game, seed, softmax_choice(game, 0.1))
-            done = 0
-            try:
-                for _ in itertools.islice(walk, 200):
-                    done += 1
-            except al.ModelIncompleteError as exc:
-                raised += 1
-                with pytest.raises(al.ModelIncompleteError) as got:
-                    al.lll_run(game, 0.1, done + 1, seed)
-                assert str(got.value) == str(exc)
-            if done:
-                got = al.lll_run(game, 0.1, done, seed, keep_trace=True)
-                assert got == reference_lll_run(game, 0.1, done, seed, keep_trace=True)
+            starts = [random_start(game, rng) for _ in range(20)]
+            holes = [a for a in starts if al.base_set(a) not in game.welfare.table]
+            for a0 in [None] + holes[:1]:
+                walk = reference_walk(game, seed, softmax_choice(game, 0.1), a0)
+                done, message = 0, None
+                try:
+                    for _ in itertools.islice(walk, 200):
+                        done += 1
+                except al.ModelIncompleteError as exc:
+                    raised += 1
+                    message = str(exc)
+                    with pytest.raises(al.ModelIncompleteError) as got:
+                        al.lll_run(game, 0.1, done + 1, seed, a0=a0)
+                    assert str(got.value) == message
+                if done:
+                    got = al.lll_run(game, 0.1, done, seed, a0=a0, keep_trace=True)
+                    assert got == reference_lll_run(game, 0.1, done, seed, a0=a0, keep_trace=True)
+                if a0 is not None and done:
+                    left += 1
+                elif a0 is not None:
+                    with pytest.raises(al.ModelIncompleteError) as start:
+                        al.welfare_eval(game, a0)
+                    stayed += str(start.value) == message
         assert raised >= 10
+        assert left and stayed
 
     def test_baseline_on_separable_games_equals_an_uncached_loop(self):
         for game, rng in mixed_games(12):

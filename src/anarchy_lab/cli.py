@@ -4,8 +4,8 @@ Subcommands: gen, check, pne, poa, bounds, search, lll. Every run is fully
 determined by its arguments, input files and seeds; numeric output uses
 full-precision reprs for values and 6 significant digits in tables, so
 outputs are byte-stable. Exit codes: 0 success, 2 validation failure,
-3 work-cap refusal (a search would pass its budget of branches or, for
-check's scans, profiles; see ``SizeCapError``), 4 bound violation detected.
+3 work-cap refusal (a search would pass its budget of branches, profiles
+or contexts; see ``SizeCapError``), 4 bound violation detected.
 """
 
 from __future__ import annotations

@@ -94,9 +94,10 @@ class UnsupportedUtilityError(ValueError):
 
 class SizeCapError(RuntimeError):
     """A search would pass its work cap: more branches than the
-    equilibrium and optimum searches' budget, or more profiles than a
-    validator's scan admits (a game the certificate settles is never
-    scanned). The message names the search and its count."""
+    equilibrium and optimum searches' budget, more profiles than the
+    utility scan admits, or more contexts than the submodularity scan
+    admits for its agents and actions (a game the certificate settles is
+    never scanned). The message names the search and its count."""
 
 
 class Utility(Enum):
@@ -134,27 +135,30 @@ class TabulatedWelfare:
     """Tabulated welfare: an explicit value per base set of resources.
 
     Duplicate selections collapse: the welfare of a profile is the table
-    value of the union of the selected actions. ``entries`` is kept as a
-    canonically sorted tuple so instances hash and compare structurally.
+    value of the union of the selected actions. ``entries`` takes any
+    iterable of (base set, value) pairs and keeps them as a frozenset of
+    (frozenset, float) pairs, so instances hash and compare structurally
+    whatever order the pairs came in; a base set listed twice is a
+    ValidationError that names it.
     """
 
-    entries: tuple  # ((frozenset, value), ...) sorted by (len, sorted ids)
+    entries: frozenset  # {(frozenset, float), ...}
     num_resources: int
     table: dict = field(init=False, repr=False, compare=False)  # base set -> value
 
     def __post_init__(self):
-        object.__setattr__(self, "table", dict(self.entries))
+        table = {}
+        for subset, value in self.entries:
+            subset = frozenset(subset)
+            if subset in table:
+                raise ValidationError(f"duplicate table entry for {sorted(subset)}")
+            table[subset] = float(value)
+        object.__setattr__(self, "entries", frozenset(table.items()))
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_mapping(table: Mapping, num_resources: int) -> "TabulatedWelfare":
-        entries = tuple(
-            (frozenset(s), float(v))
-            for s, v in sorted(
-                ((frozenset(s), v) for s, v in table.items()),
-                key=lambda e: (len(e[0]), sorted(e[0])),
-            )
-        )
-        return TabulatedWelfare(entries=entries, num_resources=num_resources)
+        return TabulatedWelfare(table.items(), num_resources)
 
 
 WelfareSpec = Union[SeparableWelfare, TabulatedWelfare]
@@ -212,11 +216,7 @@ class GameInstance:
             for r, curve in enumerate(w.curves):
                 _validate_curve(curve, r, n)
         elif isinstance(w, TabulatedWelfare):
-            seen = set()
             for subset, value in w.entries:
-                if subset in seen:
-                    raise ValidationError(f"duplicate table entry for {sorted(subset)}")
-                seen.add(subset)
                 for r in subset:
                     if not (0 <= r < w.num_resources):
                         raise ValidationError(
@@ -489,12 +489,19 @@ class _Engine:
 
     def reachable(self, agents) -> list:
         """Every distinct context the actions of ``agents`` can form, in the
-        order first reached."""
-        layer = {self.empty: None}
+        order first reached. SizeCapError once they form L contexts with
+        (n + 1)·L·(L + A) past 50,000,000, A counting every agent's actions:
+        the submodularity scan takes about L·A joins to build, and L² pairs
+        to compare, for the full layer and each agent's opponents' layer,
+        none larger than the full one since every agent can opt out."""
+        layer, actions = {self.empty: None}, sum(map(len, self.actions))
         for j in agents:
             layer = dict.fromkeys(
                 self.join(ctx, act) for ctx in layer for act in self.actions[j]
             )
+            if (self.n + 1) * len(layer) * (len(layer) + actions) > 50_000_000:
+                raise SizeCapError(f"the submodularity scan of {self.n + 1} layers of "
+                                   f"{len(layer)} or more contexts passes its cap")
         return list(layer)
 
     def value(self, ctx) -> float:
@@ -663,13 +670,11 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     and once per agent for all its actions, and walked pair by pair, so the
     report names the first violating pair and counts the pairs compared. A
     table with no entry for a base set the agents can form, ∅ included,
-    gives a ``table-missing`` report. Refuses games with more than
-    ``DEFAULT_CHECK_CAP`` profiles, since the scan of :func:`check_vug`
-    visits every one, and games whose distinct full selections give more
-    than 4,000,000 ordered pairs, since the lists of contexts above each
-    one take time quadratic in their number.
+    gives a ``table-missing`` report. The scan visits contexts, not
+    profiles, so the joint space's size does not bound it; it refuses, in
+    :meth:`_Engine.reachable`, once its own work (the contexts of n + 1
+    layers, their joins and pairs) would pass its cap.
     """
-    _require_cap(game)
     eng = game._engine
     separable = game.separable
     contexts_checked = pairs_checked = 0
@@ -710,10 +715,6 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
 
     # monotonicity over deduplicated full profiles
     keys = ordered(eng.reachable(range(game.n)))
-    if len(keys) ** 2 > 4_000_000:
-        raise SizeCapError(
-            f"{len(keys)} distinct selections give too many comparable pairs"
-        )
     try:
         values = [eng.value(k) for k in keys]
         contexts_checked += len(keys)
@@ -776,10 +777,13 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     Otherwise every profile is scanned in :func:`all_profiles` order, its
     context built once and each W(a₋ᵢ) read off it with agent i taken out,
     so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats;
-    the scan refuses more than ``DEFAULT_CHECK_CAP`` profiles.
+    a game of more than ``DEFAULT_CHECK_CAP`` profiles that the certificate
+    may not settle is refused before either scan.
     """
+    sub, valid, tight = game._engine.certificate
+    if utility_fn is not None or not (sub and valid and tight is not None):
+        _require_cap(game)  # the profile scan may run: refuse before any scan
     welfare_report = check_submodular(game)
-    _, valid, tight = game._engine.certificate
     if utility_fn is None and welfare_report.ok and valid and tight is not None:
         return VugReport(True, welfare_report, True, True, tight, None, 0, "certificate")
     return _scan_vug(game, utility_fn, welfare_report)
@@ -787,8 +791,7 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
 
 def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     """The profile scan behind :func:`check_vug`, on top of the welfare
-    report ``welfare_report``."""
-    _require_cap(game)
+    report ``welfare_report``; the caller checks the profile cap."""
     eng = game._engine
     n, separable, value, act_res = eng.n, eng.separable, eng.value, eng.act_res
 

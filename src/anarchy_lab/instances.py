@@ -24,7 +24,6 @@ from .game import (
     SeparableWelfare,
     TabulatedWelfare,
     Utility,
-    ValidationError,
 )
 
 __all__ = [
@@ -347,8 +346,8 @@ def serialize(game: GameInstance) -> str:
     """Render a game as the JSON instance document (lossless round trip).
 
     The empty opt-out action is implicit and not written; action sets are
-    already canonically ordered, so repeated serialization of equal games is
-    byte-identical.
+    already canonically ordered, and table entries are written by size, then
+    resource ids, so repeated serialization of equal games is byte-identical.
     """
     doc = {"n": game.n}
     if game.separable:
@@ -358,10 +357,8 @@ def serialize(game: GameInstance) -> str:
         ]
     else:
         doc["resources"] = [{"id": r} for r in range(game.num_resources)]
-        doc["table"] = [
-            {"subset": sorted(subset), "value": value}
-            for subset, value in game.welfare.entries
-        ]
+        rows = sorted((len(s), sorted(s), v) for s, v in game.welfare.entries)
+        doc["table"] = [{"subset": ids, "value": v} for _, ids, v in rows]
     doc["action_sets"] = [
         [sorted(a) for a in acts if a] for acts in game.action_sets
     ]
@@ -387,11 +384,13 @@ def _numbers(values, where: str) -> tuple:
 
 
 def parse(document: str) -> GameInstance:
-    """Parse and validate an instance document.
+    """Parse an instance document into a game.
 
-    Raises ParseError with the offending location for malformed documents;
-    game-invariant violations (bad curves, unknown resource ids, inadmissible
-    utilities) surface as ParseError too, naming the culprit.
+    Parsing checks the JSON's shape only: field types (booleans are not
+    numbers), resource ids contiguous from 0 and one action set per agent.
+    The constructors check the rest (a repeated table subset, bad curves
+    and values, unknown resource ids, the utility and compromise entries),
+    and what they reject surfaces as ParseError naming the culprit.
     """
     try:
         doc = json.loads(document)
@@ -414,7 +413,7 @@ def parse(document: str) -> GameInstance:
     if "table" in doc:
         if not isinstance(doc["table"], list):
             raise ParseError("field 'table' must be a list")
-        table = {}
+        pairs = []
         for idx, entry in enumerate(doc["table"]):
             if not isinstance(entry, dict):
                 raise ParseError(f"table entry {idx}: must be an object")
@@ -430,19 +429,14 @@ def parse(document: str) -> GameInstance:
                     f"table entry {idx}: need a 'subset' list of resource ids "
                     "and a numeric 'value'"
                 )
-            key = frozenset(subset)
-            if key in table:
-                raise ParseError(f"table entry {idx}: duplicate subset {sorted(key)}")
-            table[key] = value
-        try:
-            welfare = TabulatedWelfare.from_mapping(table, len(resources))
-        except OverflowError:
-            raise ParseError("a table value is out of range") from None
+            pairs.append((subset, value))
+        make_welfare = lambda: TabulatedWelfare(pairs, len(resources))
     else:
-        curves = []
-        for r, entry in enumerate(resources):
-            curves.append(_numbers(entry.get("curve"), f"resource {r}: value curve"))
-        welfare = SeparableWelfare(curves=tuple(curves))
+        curves = tuple(
+            _numbers(entry.get("curve"), f"resource {r}: value curve")
+            for r, entry in enumerate(resources)
+        )
+        make_welfare = lambda: SeparableWelfare(curves=curves)
 
     raw_sets = _expect(doc, "action_sets", "document")
     if not isinstance(raw_sets, list) or len(raw_sets) != n:
@@ -462,20 +456,10 @@ def parse(document: str) -> GameInstance:
     compromise = _expect(doc, "compromise", "document")
     if not (isinstance(utility, list) and isinstance(compromise, list)):
         raise ParseError("'utility' and 'compromise' must be lists")
-    if len(utility) != n or len(compromise) != n:
-        raise ParseError("'utility' and 'compromise' must have one entry per agent")
-    try:
-        utilities = tuple(Utility(u) for u in utility)
-        labels = tuple(Compromise(c) for c in compromise)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
     try:
-        return GameInstance(
-            welfare=welfare,
-            action_sets=tuple(action_sets),
-            utilities=utilities,
-            compromise=labels,
-        )
-    except (ValidationError, ValueError) as exc:
+        return GameInstance(make_welfare(), tuple(action_sets), utility, compromise)
+    except OverflowError:
+        raise ParseError("a table value is out of range") from None
+    except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -29,8 +29,19 @@ def playable_profiles(game):
 
 
 def direct_scan_pne(game):
-    """Independent oracle: test the equilibrium condition on every profile."""
-    return [a for a in playable_profiles(game) if al.is_pne(game, a)]
+    """Independent oracle: test the equilibrium condition on every profile.
+    Agent i's best-response set depends only on what it observes, the
+    profile masked for i with i's own entry emptied, so it is computed once
+    per agent and masked profile."""
+    responses = {}
+
+    def best_responds(i, a):
+        key = (i, al.masked_profile(game, i, a[:i] + (al.EMPTY_ACTION,) + a[i + 1 :]))
+        if key not in responses:
+            responses[key] = al.best_response_set(game, i, a)
+        return a[i] in responses[key]
+
+    return [a for a in playable_profiles(game) if all(best_responds(i, a) for i in range(game.n))]
 
 
 def direct_scan_opt(game):

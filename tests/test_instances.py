@@ -1,7 +1,9 @@
 """Generator families (closed forms, caption values) and the file format."""
 
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,41 @@ class TestSerialization:
             doc = al.serialize(game)
             assert al.parse(doc) == game
             assert al.serialize(al.parse(doc)) == doc
+
+    def test_table_insertion_order_does_not_matter(self):
+        game = coverage_game(5, 4, [Compromise.BLIND, Compromise.ISOLATED])
+        items = sorted(game.welfare.table.items(), key=lambda e: (len(e[0]), sorted(e[0])))
+        games = [
+            dataclasses.replace(
+                game, welfare=al.TabulatedWelfare.from_mapping(dict(order), game.num_resources)
+            )
+            for order in (items, items[::-1], random.Random(0).sample(items, len(items)))
+        ]
+        assert all(g == game and hash(g) == hash(game) for g in games)
+        docs = {al.serialize(g) for g in games}
+        assert len(docs) == 1
+        doc = docs.pop()
+        assert al.parse(doc) == game
+        # the rows are written by size, then resource ids
+        assert [e["subset"] for e in json.loads(doc)["table"]] == [sorted(s) for s, _ in items]
+
+    @pytest.mark.parametrize("value", [1.5, 2.0])
+    def test_repeated_table_subset_is_named(self, value):
+        # (0, 1) and (1, 0) are one base set, listed again with the same
+        # value or another one
+        table = {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 1.5, (1, 0): value}
+        with pytest.raises(al.ValidationError, match=r"duplicate table entry for \[0, 1\]"):
+            al.TabulatedWelfare.from_mapping(table, 2)
+        doc = {
+            "n": 1,
+            "resources": [{"id": 0}, {"id": 1}],
+            "table": [{"subset": list(s), "value": v} for s, v in table.items()],
+            "action_sets": [[[0], [1]]],
+            "utility": ["mc"],
+            "compromise": ["normal"],
+        }
+        with pytest.raises(al.ParseError, match=r"duplicate table entry for \[0, 1\]"):
+            al.parse(json.dumps(doc))
 
     def test_unknown_resource_id_rejected(self):
         doc = json.loads(al.serialize(al.gen_k_blind(3, 1, 0.01, 0.01)))

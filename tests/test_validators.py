@@ -39,7 +39,6 @@ def direct_scan_submodular(game):
     """Independent oracle for check_submodular: every ordered pair of
     distinct contexts, each dominance test made afresh by comparing the
     contexts entry by entry, the margins recomputed for every action."""
-    game_module._require_cap(game)
     eng = game._engine
     separable = game.separable
     describe = game_module._describe_key
@@ -54,12 +53,25 @@ def direct_scan_submodular(game):
             return all(b >= s for b, s in zip(big, small))
         return small <= big
 
-    def ordered(keys):
-        return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+    def join(ctx, act):
+        if separable:
+            return tuple(c + (r in act) for r, c in enumerate(ctx))
+        return ctx | act
 
-    keys = ordered(eng.reachable(range(game.n)))
-    if len(keys) ** 2 > 4_000_000:
-        raise al.SizeCapError(f"{len(keys)} distinct selections give too many comparable pairs")
+    def reachable(agents):
+        # the contexts the agents form, joined agent by agent; refused once
+        # the L contexts of the agents joined so far give (n + 1)·L·(L + A)
+        # past 50,000,000, A the number of actions of all agents
+        layer = {(0,) * game.num_resources if separable else frozenset()}
+        actions = sum(len(acts) for acts in game.action_sets)
+        for j in agents:
+            layer = {join(ctx, act) for ctx in layer for act in game.action_sets[j]}
+            if (game.n + 1) * len(layer) * (len(layer) + actions) > 50_000_000:
+                raise al.SizeCapError(f"the submodularity scan of {game.n + 1} layers of "
+                                      f"{len(layer)} or more contexts passes its cap")
+        return sorted(layer, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+
+    keys = reachable(range(game.n))
     try:
         values = {k: eng.value(k) for k in keys}
         contexts += len(keys)
@@ -76,13 +88,13 @@ def direct_scan_submodular(game):
                         "larger_value": values[kb],
                     })
         for i in range(game.n):
-            ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
+            ckeys = reachable(j for j in range(game.n) if j != i)
             contexts += len(ckeys)
             base_vals = {k: eng.value(k) for k in ckeys}
             for act in game.action_sets[i]:
                 if not act:
                     continue
-                margins = {k: eng.value(eng.join(k, act)) - base_vals[k] for k in ckeys}
+                margins = {k: eng.value(join(k, act)) - base_vals[k] for k in ckeys}
                 for ks in ckeys:
                     for kb in ckeys:
                         if ks == kb or not compare(ks, kb):
@@ -255,6 +267,7 @@ def overflow_game():
 
 def scan_vug(game, utility_fn=None):
     """check_vug's scan, on top of the submodularity scan."""
+    game_module._require_cap(game)
     return game_module._scan_vug(game, utility_fn, game_module._scan_submodular(game))
 
 
@@ -390,16 +403,64 @@ class TestCheckSubmodular:
         assert al.check_submodular(game).ok
 
     def test_size_cap_refusal(self):
-        # a table is always scanned: 3^12 = 531,441 profiles, above the
-        # 250,000 a scan walks
+        # the pair scan visits contexts, not profiles: it answers on a table
+        # of 3^12 = 531,441 profiles, and only the utility walk, which
+        # visits every profile, refuses
         weights = {0: 2.0, 1: 1.0, 2: 0.5}
         table = full_table(3, lambda s: sum(weights[r] for r in sorted(s)))
         game = tabulated_game(table, 3, [[{0}, {1, 2}]] * 12)
         assert al.joint_space_size(game) > game_module.DEFAULT_CHECK_CAP
-        with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
-            al.check_submodular(game)
+        report = al.check_submodular(game)
+        assert report == direct_scan_submodular(game)
+        assert report.ok and report.path == "scan"
         with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
             al.check_vug(game)
+        # 40 agents with a private resource each, on curves that use the
+        # constructor's slack, so the certificate settles nothing: the scan
+        # refuses once the first 11 agents form 2^11 contexts, before the
+        # next layer is built (41 · 2048 · (2048 + 80) > 50,000,000)
+        curve = (0.0, 1.0, 2.0 + 0.9e-9) + (2.0 + 0.9e-9,) * 38
+        game = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=(curve,) * 40),
+            action_sets=tuple(({r},) for r in range(40)),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 40,
+            compromise=(Compromise.NORMAL,) * 40,
+        )
+        refusal = (al.SizeCapError,
+                   "the submodularity scan of 41 layers of 2048 or more contexts passes its cap")
+        assert check_outcome(al.check_submodular, game) == refusal
+        assert check_outcome(direct_scan_submodular, game) == refusal
+
+    def test_many_agents_on_few_resources_are_refused_at_once(self, monkeypatch):
+        # 1,000 agents on one resource form only 1,001 contexts, but the scan
+        # would build and compare them for each agent, about 10^9 steps: the
+        # pair scan refuses once 24 agents are joined, after 600 joins
+        # (1001 · 25 · (25 + 2000) > 50,000,000), and check_vug refuses the
+        # 2^1000 profiles before any scan
+        curve = (0.0, 1.0, 2.0 + 0.9e-9) + (2.0 + 0.9e-9,) * 998
+        game = al.GameInstance(
+            welfare=al.SeparableWelfare(curves=(curve,)),
+            action_sets=(({0},),) * 1000,
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 1000,
+            compromise=(Compromise.NORMAL,) * 1000,
+        )
+        joins = []
+        real = game_module._Engine.join
+
+        def counting(eng, ctx, act):
+            joins.append(1)
+            return real(eng, ctx, act)
+
+        monkeypatch.setattr(game_module._Engine, "join", counting)
+        refusal = (al.SizeCapError,
+                   "the submodularity scan of 1001 layers of 25 or more contexts passes its cap")
+        assert check_outcome(al.check_submodular, game) == refusal
+        assert len(joins) == 600
+        assert check_outcome(direct_scan_submodular, game) == refusal
+        joins.clear()
+        with pytest.raises(al.SizeCapError, match=f"has {2**1000} profiles, above the cap"):
+            al.check_vug(game)
+        assert not joins
 
     def test_the_certificate_answers_past_the_scans_caps(self):
         # 3^12 * 2 = 1,062,882 profiles, past the walk's cap; 6,144 distinct

@@ -359,7 +359,10 @@ def _read_search_config(path: str) -> eq.SearchConfig:
     and a nonempty list of finite numbers ``value_grid``; every other key
     is optional."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError as exc:
+            raise inst.ParseError(f"search config: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise inst.ParseError("search config: need a JSON object")
 
@@ -530,6 +533,7 @@ def main(argv=None) -> int:
         UnsupportedUtilityError,
         ModelIncompleteError,
         ValueError,
+        OverflowError,  # a count too large to index, e.g. --n 10**30
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

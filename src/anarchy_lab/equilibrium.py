@@ -43,7 +43,7 @@ from .game import (
     validate_joint_action,
     welfare_eval,
 )
-from .instances import _random_game, _step_curve
+from .instances import _labels_for, _random_game, _step_curve
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -185,9 +185,10 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     profile below it, and an agent sure to pass it everywhere below is not
     tested again (see :class:`_TermBounds`); tabulated welfare, which need
     not be submodular, is searched without either, and runs each agent's
-    test once per action and observed base set. Every profile reached
-    runs the scan's exact test for the normal agents still undecided, with
-    the same floats, so the result equals the scan's. SizeCapError once
+    test once per action and observed base set. At a complete profile the
+    bounds are the exact test's own floats and decide every agent; a table
+    runs the scan's exact test for the normal agents still undecided.
+    Either way the result equals the scan's. SizeCapError once
     more than ``cap`` branches end, on complete profiles or cut subtrees:
     disjoint sets of profiles, so no game of at most ``cap`` profiles is refused.
     """
@@ -257,18 +258,14 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
             pruned += 1
             continue
         a = tuple(acts)
+        # only a table leaves agents undecided here, and its test reads only
+        # the agent's action and observed base set: one run and entry each
         for i in still:
             ctx = eng.context(a, eng.sees[i])
-            if separable:
-                ok = _best_responds(eng.utilities(i, ctx), idxs[i])
-            else:
-                # a table's test reads the agent's action and observed base
-                # set only, so each is run once: at most one entry per
-                # agent, action and table entry is kept
-                key = (i, idxs[i], ctx)
-                ok = passes.get(key)
-                if ok is None:
-                    ok = passes[key] = _best_responds(eng.utilities(i, ctx), idxs[i])
+            key = (i, idxs[i], ctx)
+            ok = passes.get(key)
+            if ok is None:
+                ok = passes[key] = _best_responds(eng.utilities(i, ctx), idxs[i])
             if not ok:
                 break
         else:
@@ -311,7 +308,8 @@ class _TermBounds:
     largest utility for x is below the smallest for some other action less
     TOLERANCE, and passes at every profile below when its smallest utility
     for x is at least the largest for every other action less TOLERANCE,
-    since fl(v - TOLERANCE) is monotone in v and at most v.
+    since fl(v - TOLERANCE) is monotone in v and at most v. Below the last
+    agent each window is one count, so every verdict there is 1 or -1.
     """
 
     def __init__(self, eng: _Engine, candidates, normal):
@@ -812,10 +810,10 @@ def worst_case_search(config: SearchConfig):
     """
     if config.k > config.n:
         raise ValueError("k must not exceed n")
-    if len(config.labels) != config.k:
-        raise ValueError("labels must have one entry per compromised agent")
-    if Compromise.NORMAL in map(Compromise, config.labels):
-        raise ValueError("search config: labels must not be 'normal'")
+    try:
+        _labels_for(config.k, config.labels)
+    except ValueError as exc:
+        raise ValueError(f"search config: {exc}") from None
     rng = random.Random(config.seed)
     best = None
     for _ in range(config.budget):

@@ -4,9 +4,11 @@ format.
 Every generator is deterministic: the same parameters (and seed, for the
 random family) produce the same instance and the same serialized document,
 byte for byte. Resource ids follow a fixed layout per family so enumeration
-orders are reproducible. Each layout has one builder: ``_hub_game`` (a hub
-plus private alternates) for ``k_blind``, ``mc_blind`` and ``sim``, and
-``_random_game`` for the random family and the worst-case search.
+orders are reproducible. Each layout has one builder: ``_step_game`` (step
+curves, each agent taking one resource or nothing) for the five named
+families, with ``_hub_game`` numbering a hub plus private alternates for
+``k_blind``, ``mc_blind`` and ``sim``, and ``_random_game`` for the random
+family and the worst-case search.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ class FamilyParams:
             raise ValueError("eps and delta must be nonnegative")
         if not (math.isfinite(self.eps) and math.isfinite(self.delta)):
             raise ValueError("eps and delta must be finite")
-        if self.k > self.n and self.family != "fig1":
-            raise ValueError("k must not exceed n")
 
 
 def _step_curve(value: float, n: int) -> tuple:
@@ -90,6 +90,17 @@ def _labels_for(k: int, labels: Optional[Sequence]) -> tuple:
     return out
 
 
+def _step_game(n, values, choices, utility, compromise) -> GameInstance:
+    """The named families' layout: resource r is worth ``values[r]`` once
+    selected, and agent i takes one resource in ``choices[i]`` or nothing."""
+    return GameInstance(
+        welfare=SeparableWelfare(curves=tuple(_step_curve(v, n) for v in values)),
+        action_sets=tuple([frozenset({r}) for r in rs] for rs in choices),
+        utilities=(utility,) * n,
+        compromise=compromise,
+    )
+
+
 def _hub_game(n, k, labels, utility, hub, alternates) -> GameInstance:
     """The hub layout: resource 0, worth ``hub``, is open to every agent, and
     agent i may also take its own alternate worth ``alternates[i]`` (None
@@ -98,20 +109,10 @@ def _hub_game(n, k, labels, utility, hub, alternates) -> GameInstance:
     labs = _labels_for(k, labels)
     if any(l is Compromise.DISABLED for l in labs):
         raise ValueError("this family takes blind or isolated labels only")
-    curves = [_step_curve(hub, n)]
-    action_sets = []
-    for value in alternates:
-        acts = [EMPTY_ACTION, frozenset({0})]
-        if value is not None:
-            curves.append(_step_curve(value, n))
-            acts.append(frozenset({len(curves) - 1}))
-        action_sets.append(acts)
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=(utility,) * n,
-        compromise=labs + (Compromise.NORMAL,) * (n - k),
-    )
+    values = [hub] + [v for v in alternates if v is not None]
+    ids = iter(range(1, len(values)))
+    choices = [(0,) if v is None else (0, next(ids)) for v in alternates]
+    return _step_game(n, values, choices, utility, labs + (Compromise.NORMAL,) * (n - k))
 
 
 def gen_k_blind(
@@ -177,23 +178,12 @@ def gen_mc_noblind(
         raise ValueError("this family takes isolated labels only")
     s = min(k, n - k - 1)
     r = n - k - s
-    curves = [_step_curve(1.0 + eps, n) for _ in range(k)]
-    curves += [_step_curve(1.0, n) for _ in range(s)]
-    curves += [_step_curve(eps, n) for _ in range(r)]
-    action_sets = []
-    for j in range(k):  # isolated agents
-        action_sets.append((EMPTY_ACTION, frozenset({j})))
-    for j in range(s):  # shadows: the shared resource plus an alternate
-        action_sets.append((EMPTY_ACTION, frozenset({j}), frozenset({k + j})))
-    for j in range(r):  # remaining agents
-        action_sets.append((EMPTY_ACTION, frozenset({k + s + j})))
+    values = [1.0 + eps] * k + [1.0] * s + [eps] * r
+    choices = [(j,) for j in range(k)]  # isolated agents
+    choices += [(j, k + j) for j in range(s)]  # shadows: shared plus an alternate
+    choices += [(k + s + j,) for j in range(r)]  # remaining agents
     compromise = (Compromise.ISOLATED,) * k + (Compromise.NORMAL,) * (n - k)
-    return GameInstance(
-        welfare=SeparableWelfare(curves=tuple(curves)),
-        action_sets=tuple(action_sets),
-        utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
-        compromise=compromise,
-    )
+    return _step_game(n, values, choices, Utility.MARGINAL_CONTRIBUTION, compromise)
 
 
 def gen_sim_game(
@@ -237,17 +227,9 @@ def gen_fig1(
         labs = tuple(Compromise(l) for l in labels)
         if len(labs) != 3:
             raise ValueError("labels apply to agents 2, 3, 4 (need three)")
-    curves = tuple(_step_curve(v, 5) for v in vals)
-    action_sets = tuple(
-        (EMPTY_ACTION, frozenset({i}), frozenset({5})) for i in range(5)
-    )
     compromise = (Compromise.NORMAL, Compromise.NORMAL) + labs
-    return GameInstance(
-        welfare=SeparableWelfare(curves=curves),
-        action_sets=action_sets,
-        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 5,
-        compromise=compromise,
-    )
+    choices = [(i, 5) for i in range(5)]
+    return _step_game(5, vals, choices, Utility.MARGINAL_CONTRIBUTION, compromise)
 
 
 def gen_random_separable(

@@ -384,6 +384,28 @@ class TestAnalysis:
         )
 
     @pytest.mark.parametrize("command", [
+        ("gen", "--family", "k_blind", "--n", str(10**30), "--k", "0"),
+        ("bounds", "--family", "k_blind", "--n", str(10**30), "--k", "0"),
+        ("bounds", "--family", "k_blind", "--n", "4", "--k", f"0..{10**30}"),
+    ])
+    def test_a_count_too_large_to_index_exits_two(self, command, capsys):
+        # these used to end in an OverflowError traceback, exit 1
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, message", [
+        (("gen", "--family", "k_blind", "--n", "4", "--k", "5"), "need 0 <= k < n"),
+        (("gen", "--family", "mc_noblind", "--n", "4", "--k", "5"),
+         "need k >= 1 and n >= k + 2"),
+        (("bounds", "--family", "mc_blind", "--n", "4", "--k", "3..5"), "need 0 <= k <= n"),
+    ])
+    def test_k_past_n_gets_the_familys_own_message(self, command, message, capsys):
+        # a shared "k must not exceed n" used to come before the family's check
+        code, out, err = run(capsys, *command)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
         ("gen", "--family", "k_blind", "--n", "4", "--k", "0"),
         ("bounds", "--family", "k_blind", "--n", "4", "--k", "0..1"),
     ])
@@ -515,10 +537,12 @@ class TestSearch:
             {"n": 3, "value_grid": [1.0], "labels": "blind"},
             # a normal label used to run with nobody compromised, exit 0
             {"n": 3, "k": 1, "labels": ["normal"], "value_grid": [1.0], "budget": 5},
+            {"n": 3, "k": 2, "labels": ["blind"], "value_grid": [1.0], "budget": 5},
         ],
         ids=[
             "lacks-n", "not-an-object", "string-n", "boolean-n", "empty-grid",
             "null-in-grid", "zero-budget", "labels-not-a-list", "normal-label",
+            "too-few-labels",
         ],
     )
     def test_bad_config_exits_two_with_an_error(self, tmp_path, capsys, config):
@@ -536,6 +560,22 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error: no sampled candidate produced a defined ratio")
         assert out == ""
+
+    def test_a_count_too_large_to_index_exits_two(self, tmp_path, capsys):
+        # this used to end in an OverflowError traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10**30, "value_grid": [1], "budget": 2}))
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_deeply_nested_config_exits_two(self, tmp_path, capsys):
+        # json.load's RecursionError used to end in a traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search config: not valid JSON: ")
 
     def test_overflowing_candidates_are_skipped(self, tmp_path, capsys):
         # a NaN worst ratio used to be reported as a violated bound, exit 4

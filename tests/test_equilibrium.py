@@ -269,6 +269,41 @@ class TestEnumerate:
             eqs = al.enumerate_pne(game)
             assert list(eqs.profiles) == direct_scan_pne(game)
 
+    def test_separable_games_run_the_exact_test_on_no_normal_agent(self, monkeypatch):
+        # the bounds decide every normal agent by the last node, so the
+        # kernel's utilities are read only for the blind and isolated
+        # agents' candidates, once each, in agent order
+        calls = []
+        utilities = equilibrium._Engine.utilities
+
+        def spy(eng, i, ctx):
+            calls.append(i)
+            return utilities(eng, i, ctx)
+
+        monkeypatch.setattr(equilibrium._Engine, "utilities", spy)
+        B, I = Compromise.BLIND, Compromise.ISOLATED
+        games = [
+            hub(5, 2, 0.01, 0.01, labels=[I, B]),
+            al.gen_mc_blind(5, 2, 0.01),
+            al.gen_mc_noblind(6, 2, 0.01),
+            al.gen_sim_game(6, 5, 0.05, labels=[B, I, B, I, B]),
+            al.gen_fig1([1.0, 0.7, 0.3, 0.4, 2.0, 0.8], labels=[B, I, Compromise.DISABLED]),
+        ]
+        games += [
+            al.gen_random_separable(
+                n=3 + seed % 3, max_resources=3, max_actions=3, k=seed % 3,
+                labels=[B, I][: seed % 3], seed=seed,
+            )
+            for seed in range(25)
+        ]
+        found = 0
+        for game in games:
+            assert game.separable and game.agents_with(Compromise.NORMAL)
+            calls.clear()
+            found += len(al.enumerate_pne(game).profiles)
+            assert calls == [i for i, lab in enumerate(game.compromise) if lab in (B, I)]
+        assert found > 0
+
     def test_hub_family_worst_equilibrium_welfare_is_one(self):
         eqs = al.enumerate_pne(hub(3, 1, 0.1, 0.01))
         assert not eqs.is_empty
@@ -1352,6 +1387,23 @@ class TestWorstCaseSearch:
         assert min(sizes) <= equilibrium.DEFAULT_ENUM_CAP < max(sizes)
         al.worst_case_search(config)
         assert analysed == [s for s in sizes if s <= equilibrium.DEFAULT_ENUM_CAP]
+
+    @pytest.mark.parametrize("labels", [(), (Compromise.BLIND, Compromise.ISOLATED)])
+    def test_a_label_list_of_another_length_is_rejected(self, labels):
+        # the label rules are the families' own, so the message is theirs
+        config = al.SearchConfig(
+            n=3,
+            k=1,
+            labels=labels,
+            utility_class=UtilityClass.GENERAL_VUG,
+            value_grid=(0.5, 1.0),
+            budget=5,
+            seed=0,
+        )
+        message = f"search config: expected 1 labels, got {len(labels)}"
+        with pytest.raises(ValueError) as exc:
+            al.worst_case_search(config)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("labels", [(Compromise.NORMAL,), ("normal",)])
     def test_a_normal_label_is_rejected(self, labels):

@@ -149,6 +149,99 @@ def test_hub_families_match_their_separate_constructors(family):
     assert compared == 2793
 
 
+def reference_step_families():
+    """``mc_noblind`` and ``fig1`` as separate constructors, each building
+    its layout itself: the oracle for the step builder behind
+    ``gen_mc_noblind`` and ``gen_fig1``."""
+    def mc_noblind(n, k, eps, labels=None):
+        if k < 1 or n < k + 2:
+            raise ValueError("need k >= 1 and n >= k + 2")
+        if labels is not None and set(_labels_for(k, labels)) != {Compromise.ISOLATED}:
+            raise ValueError("this family takes isolated labels only")
+        s = min(k, n - k - 1)
+        r = n - k - s
+        curves = [_step_curve(1.0 + eps, n) for _ in range(k)]
+        curves += [_step_curve(1.0, n) for _ in range(s)]
+        curves += [_step_curve(eps, n) for _ in range(r)]
+        action_sets = []
+        for j in range(k):
+            action_sets.append((EMPTY_ACTION, frozenset({j})))
+        for j in range(s):
+            action_sets.append((EMPTY_ACTION, frozenset({j}), frozenset({k + j})))
+        for j in range(r):
+            action_sets.append((EMPTY_ACTION, frozenset({k + s + j})))
+        return al.GameInstance(
+            welfare=SeparableWelfare(curves=tuple(curves)),
+            action_sets=tuple(action_sets),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * n,
+            compromise=(Compromise.ISOLATED,) * k + (Compromise.NORMAL,) * (n - k),
+        )
+
+    def fig1(values, labels=None):
+        vals = tuple(float(v) for v in values)
+        if len(vals) != 6:
+            raise ValueError("exactly six resource values are required")
+        if any(v < 0 for v in vals):
+            raise ValueError("resource values must be nonnegative")
+        if labels is None:
+            labs = (Compromise.NORMAL,) * 3
+        else:
+            labs = tuple(Compromise(l) for l in labels)
+            if len(labs) != 3:
+                raise ValueError("labels apply to agents 2, 3, 4 (need three)")
+        return al.GameInstance(
+            welfare=SeparableWelfare(curves=tuple(_step_curve(v, 5) for v in vals)),
+            action_sets=tuple(
+                (EMPTY_ACTION, frozenset({i}), frozenset({5})) for i in range(5)
+            ),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 5,
+            compromise=(Compromise.NORMAL, Compromise.NORMAL) + labs,
+        )
+
+    return {
+        "mc_noblind": (al.gen_mc_noblind, mc_noblind),
+        "fig1": (al.gen_fig1, fig1),
+    }
+
+
+def test_mc_noblind_matches_its_separate_constructor():
+    # the hub families' grid: n = 0..13, every k from -1 to n+1, seven
+    # label options and three eps
+    gen, reference = reference_step_families()["mc_noblind"]
+    compared = 0
+    for n in range(14):
+        for k in range(-1, n + 2):
+            for labels in hub_label_options(k):
+                for eps in (0.01, 0.25, 1e-9):
+                    args = (n, k, eps, labels)
+                    expected = document_or_error(reference, *args)
+                    assert document_or_error(gen, *args) == expected, args
+                    compared += 1
+    assert compared == 2793
+
+
+def test_fig1_matches_its_separate_constructor():
+    # five value vectors (one negative, one too short, one infinite) and
+    # every label triple, the default, and lists one too short or too long
+    gen, reference = reference_step_families()["fig1"]
+    vectors = [
+        FIG1_VALUES,
+        [0] * 6,
+        [1.0, 0.7, -0.3, 0.4, 2.0, 0.8],
+        [1.0] * 5,
+        [1, 2, 3, 4, 5, float("inf")],
+    ]
+    triples = list(itertools.product(Compromise, repeat=3))
+    options = [None, [Compromise.BLIND] * 2, [Compromise.BLIND] * 4] + triples
+    compared = set()
+    for values in vectors:
+        for labels in options:
+            expected = document_or_error(reference, values, labels)
+            assert document_or_error(gen, values, labels) == expected, (values, labels)
+            compared.add(type(expected))
+    assert len(options) == 67 and compared == {str, tuple}
+
+
 class TestHubFamily:
     def test_nearly_degenerate_limit(self):
         report = al.instance_poa(al.gen_k_blind(10, 9, 1e-9, 1e-9))

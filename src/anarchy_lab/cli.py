@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -106,10 +107,10 @@ def _parse_labels(spec: Optional[str], k: int):
     return tuple(Compromise(p) for p in parts)
 
 
-def _parse_k_range(spec: str):
+def _parse_k_range(spec: str) -> range:
     lo, dots, hi = spec.partition("..")
     try:
-        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+        ks = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(
             f"k spec {spec!r} is not an integer k or a range lo..hi of integers"
@@ -300,13 +301,21 @@ def cmd_bounds(args) -> int:
     forced = _parse_labels(args.labels, 1) if args.labels else None
     if forced and Compromise.NORMAL in forced:
         raise ValueError("bounds --labels takes blind, isolated or disabled, not normal")
-    for k in ks:
-        if forced is not None and len(forced) not in (1, k):
-            raise ValueError(f"expected {k} labels, got {len(forced)}")
+    if forced is not None and len(forced) != 1:
+        # the first k a list of labels does not fit, if any: ks[0] or ks[1]
+        for k in itertools.islice(ks, 2):
+            if k != len(forced):
+                raise ValueError(f"expected {k} labels, got {len(forced)}")
+    if ks[-1] > args.n:
+        # every family needs k <= n: refuse with the family's own rule
+        # before the sweep takes a step, however long the range
+        inst.gen_family(inst.FamilyParams(args.family, args.n, ks[-1], eps=args.eps,
+                                          delta=args.delta))
     rows = []
     docs = []
     any_violation = False
     for k in ks:
+        optimum = None  # the label mixes of one k share welfare and actions
         for labels in _label_mixes(args.family, k, forced):
             # the families take blind/isolated labels; other mixes (e.g.
             # disabled) are applied by relabeling afterwards
@@ -323,7 +332,9 @@ def cmd_bounds(args) -> int:
             if not plain:
                 compromise = tuple(labels) + (Compromise.NORMAL,) * (args.n - k)
                 game = dataclasses.replace(game, compromise=compromise)
-            report = eq.instance_poa(game)
+            if optimum is None:
+                optimum = eq.optimal_welfare(game)
+            report = eq.instance_poa(game, optimum)
             chains = _chains_ok(game, report)
             mix = ",".join(l.value for l in labels) if labels else "-"
             rows.append(

@@ -2,22 +2,28 @@
 price of anarchy against closed-form worst-case bounds, per-instance bound
 certificates, and randomized worst-case instance search.
 
-Everything here is exact and deterministic. Enumeration exploits the
-compromise structure: a blind or isolated agent's best-response set does not
-depend on the rest of the profile, so its candidates are computed once and
-only the remaining agents are enumerated. It is a depth-first search in the
-order of a scan of every profile; for separable welfare, bounds on each
-normal agent's utilities over the profiles below a node cut subtrees where
-an agent must fail its test and skip the test where it must pass, and the
-profiles reached run the scan's own test, so the result is the scan's.
-Welfare optima come from a dynamic program over agents that returns what a
-scan of every profile would. The fast paths evaluate welfare, observed
-contexts and candidate utilities through the game's evaluation kernel
-(``game._Engine``); the profile-level ``best_response_set`` and ``is_pne``
-evaluate the model's definitions directly and are the reference the tests
-hold the kernel to. Bound certificates value each term of a chain once,
-as a kernel context; the (1+k) chain's residual game is the optimum
-search restricted to the blind agents' equilibrium actions.
+Everything here is exact and deterministic. Enumeration, the search in
+``enumeration``, exploits the compromise structure: a blind or isolated
+agent's best-response set does not depend on the rest of the profile, so
+its candidates are computed once and only the remaining agents are
+enumerated. It is a depth-first search in the order of a scan of every
+profile; for separable welfare, bounds on each normal agent's utilities
+over the profiles below a node cut subtrees where an agent must fail its
+test and skip the test where it must pass, and the profiles reached run
+the scan's own test, so the result is the scan's. The anarchy ratio reads
+only the number of equilibria and the worst one, so it runs the same
+search over classes of interchangeable agents, one nondecreasing sequence
+of candidates per class standing for the orbit of profiles that permute
+its agents, and folds the orbits into an exact count and the worst
+profile. Welfare optima come from a dynamic program over agents that
+returns what a scan of every profile would. The fast paths evaluate
+welfare, observed contexts and candidate utilities through the game's
+evaluation kernel (``game._Engine``); the profile-level
+``best_response_set`` and ``is_pne`` evaluate the model's definitions
+directly and are the reference the tests hold the kernel to. Bound
+certificates value each term of a chain once, as a kernel context; the
+(1+k) chain's residual game is the optimum search restricted to the blind
+agents' equilibrium actions.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .game import (
     validate_joint_action,
     welfare_eval,
 )
+from .enumeration import _agent_classes, _argmax_indices, _search
 from .instances import _labels_for, _random_game, _step_curve
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -134,17 +141,6 @@ class BoundChainCertificate:
     extrapolated: bool  # evaluated outside the range the chain was derived for
 
 
-def _argmax_indices(values):
-    best = max(values)
-    return [j for j, v in enumerate(values) if v >= best - TOLERANCE]
-
-
-def _best_responds(utilities, j: int) -> bool:
-    """The equilibrium test: action j's utility is within the tolerance of
-    the best."""
-    return not utilities[j] < max(utilities) - TOLERANCE
-
-
 # ---------------------------------------------------------------------------
 # best responses and equilibria
 
@@ -176,219 +172,43 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     """Exhaustively list every pure Nash equilibrium.
 
     Deterministic lexicographic order (agent index, then action index).
-    Blind and isolated agents are fixed to their profile-independent
-    best-response candidates; disabled agents to the empty action. The
-    profiles are searched depth first, agents in index order and each
-    agent's candidates in index order, which is the order of a scan of
-    every profile. For separable welfare a subtree is cut as soon as an
-    assigned normal agent is sure to fail its best-response test at every
-    profile below it, and an agent sure to pass it everywhere below is not
-    tested again (see :class:`_TermBounds`); tabulated welfare, which need
-    not be submodular, is searched without either, and runs each agent's
-    test once per action and observed base set. At a complete profile the
-    bounds are the exact test's own floats and decide every agent; a table
-    runs the scan's exact test for the normal agents still undecided.
-    Either way the result equals the scan's. SizeCapError once
-    more than ``cap`` branches end, on complete profiles or cut subtrees:
-    disjoint sets of profiles, so no game of at most ``cap`` profiles is refused.
+    This is :func:`enumeration._search` with every agent a class of its
+    own: it visits profiles in the order of a scan of every profile and
+    returns the scan's result. SizeCapError once more than ``cap`` branches end, on complete
+    profiles or cut subtrees: disjoint sets of profiles, so no game of at
+    most ``cap`` profiles is refused.
     """
-    eng = game._engine
-    n = eng.n
+    profiles, welfares = [], []
 
-    candidates = []
-    for i, lab in enumerate(game.compromise):
-        if lab is Compromise.DISABLED:
-            candidates.append([0])  # canonical order puts the empty action first
-        elif lab is Compromise.NORMAL:
-            candidates.append(range(len(eng.actions[i])))
-        else:
-            # a blind or isolated agent's observed context is always empty
-            candidates.append(_argmax_indices(eng.utilities(i, eng.empty)))
+    def keep(idxs, acts, weight, welfare):
+        profiles.append(tuple(acts))
+        welfares.append(welfare)
 
-    normal = game.agents_with(Compromise.NORMAL)
-    separable = eng.separable
-    bounds = _TermBounds(eng, candidates, normal) if separable and normal else None
-    act_res, visible = eng.act_res, eng.visible
-    vis = [0] * eng.m  # selection counts of the visible agents assigned so far
-    full = [0] * eng.m  # ... and of every agent assigned so far
-    acts = [EMPTY_ACTION] * n
-    idxs = [0] * n
-    pos = [-1] * n  # position of agent d's current action in its candidates
-    # undecided[d]: the normal agents before d whose test the node above
-    # agent d left open
-    undecided = [()] * n
-    passes = {}  # tabulated welfare: (agent, action, observed base set) -> test
-    profiles = []
-    welfares = []
-    nodes = pruned = ends = 0
-    d = 0
-    while d >= 0:
-        p = pos[d]
-        if p >= 0 and separable:  # take agent d's previous action back
-            for r in act_res[d][idxs[d]]:
-                full[r] -= 1
-                if visible[d]:
-                    vis[r] -= 1
-        p += 1
-        if p == len(candidates[d]):
-            pos[d] = -1
-            d -= 1
-            continue
-        pos[d] = p
-        j = idxs[d] = candidates[d][p]
-        acts[d] = eng.actions[d][j]
-        if separable:
-            for r in act_res[d][j]:
-                full[r] += 1
-                if visible[d]:
-                    vis[r] += 1
-        nodes += 1
-        still = normal
-        if bounds is not None:
-            still = bounds.open_after(d, undecided[d], idxs, vis)
-        if still is not None and d + 1 < n:
-            undecided[d + 1] = still
-            d += 1
-            continue
-        # a branch ends here, on a complete profile or a subtree cut whole
-        ends += 1
-        if ends > cap:
-            raise SizeCapError(f"equilibrium search ended {ends} branches, past the cap {cap}")
-        if still is None:
-            pruned += 1
-            continue
-        a = tuple(acts)
-        # only a table leaves agents undecided here, and its test reads only
-        # the agent's action and observed base set: one run and entry each
-        for i in still:
-            ctx = eng.context(a, eng.sees[i])
-            key = (i, idxs[i], ctx)
-            ok = passes.get(key)
-            if ok is None:
-                ok = passes[key] = _best_responds(eng.utilities(i, ctx), idxs[i])
-            if not ok:
-                break
-        else:
-            profiles.append(a)
-            welfares.append(eng.value(full if separable else eng.context(a)))
+    nodes, pruned = _search(game, [[i] for i in range(game.n)], cap, keep)
     return EquilibriumSet(
         profiles=tuple(profiles), welfares=tuple(welfares), nodes=nodes, pruned=pruned
     )
 
 
-class _TermBounds:
-    """Bounds on a normal agent's utilities over every completion of a
-    partial profile, for separable welfare.
+def _worst_pne(game: GameInstance):
+    """``(count, welfare, profile)``: the number of pure Nash equilibria, an
+    exact int, and the worst one, the lexicographically first among ties;
+    ``(0, None, None)`` if there is none. One search over the agent classes,
+    keeping only these three; the same as :func:`enumerate_pne`'s
+    ``len(profiles)`` and ``worst()``. SizeCapError as there, counting the
+    branches of this search."""
+    count, worst = 0, None
 
-    Once the first D agents are assigned, the rest add to each resource r
-    at most ``rem[D][r]`` selections: one per visible agent with a
-    candidate touching r. A
-    normal agent's utility for an action is a sum, in the order of the
-    action's resource ids and starting from 0.0, of one float term per
-    resource: the kernel's ``terms[i][r][c]`` at the number c of other
-    visible agents selecting it. Below a node that number lies between the
-    count so far, c, and c + rem[D][r], so the term lies between the
-    smallest and the largest term over that window, which the tables
-    hold. Float
-    addition is monotone in each operand, so summing the window minima
-    (maxima) in the same order gives a float no larger (no smaller) than
-    the utility the exact test computes at any profile below.
+    def fold(idxs, acts, weight, welfare):
+        nonlocal count, worst
+        count += weight
+        if worst is None or welfare < worst[0] or (welfare == worst[0] and idxs < worst[1]):
+            worst = welfare, idxs[:]
 
-    On concave curves the terms fall as counts grow, so the extremes sit
-    at the window's ends: the bounds are the utility at the counts so far
-    and at the counts so far plus ``rem``. Read at the ends alone, they
-    would need a margin. The constructor lets an increment exceed the one
-    before it by up to TOLERANCE, so a marginal-contribution utility can
-    rise by Σ_r rem_r·TOLERANCE over the window (an equal share, an
-    average of increments, by at most half that), and each evaluation
-    rounds. Taking the extremes over the very floats the test adds covers
-    both exactly, so no margin is added.
-
-    An agent on action x then fails at every profile below when its
-    largest utility for x is below the smallest for some other action less
-    TOLERANCE, and passes at every profile below when its smallest utility
-    for x is at least the largest for every other action less TOLERANCE,
-    since fl(v - TOLERANCE) is monotone in v and at most v. Below the last
-    agent each window is one count, so every verdict there is 1 or -1.
-    """
-
-    def __init__(self, eng: _Engine, candidates, normal):
-        n, m = eng.n, eng.m
-        self.act_res = eng.act_res
-        touched = [
-            {r for j in cand for r in eng.act_res[i][j]} if eng.visible[i] else ()
-            for i, cand in enumerate(candidates)
-        ]
-        self.normal = set(normal)
-        rem = [[0] * m]
-        for d in reversed(range(n)):
-            row = list(rem[-1])
-            for r in touched[d]:
-                row[r] += 1
-            rem.append(row)
-        rem.reverse()
-        used = sorted({r for i in normal for res in eng.act_res[i] for r in res})
-        # lo[i][D][r][c], hi[i][D][r][c]: extremes of agent i's term for
-        # resource r over the counts c .. c + rem[D][r]
-        self.lo, self.hi = [None] * n, [None] * n
-        tables = {}
-        for i in normal:
-            mc = eng.is_mc[i]
-            if mc not in tables:
-                lo_d, hi_d = [[None] * m for _ in rem], [[None] * m for _ in rem]
-                for r in used:
-                    terms = eng.terms[i][r]
-                    lows, highs = [terms], [terms]
-                    for _ in range(rem[0][r]):
-                        lows.append(list(map(min, lows[-1], lows[-1][1:])))
-                        highs.append(list(map(max, highs[-1], highs[-1][1:])))
-                    for D, row in enumerate(rem):
-                        lo_d[D][r], hi_d[D][r] = lows[row[r]], highs[row[r]]
-                tables[mc] = lo_d, hi_d
-            self.lo[i], self.hi[i] = tables[mc]
-
-    def open_after(self, d: int, undecided, idxs, vis):
-        """The normal agents up to d left undecided once agent d plays
-        action ``idxs[d]``, or None if one of them fails below this node."""
-        still = []
-        for i in (d, *undecided) if d in self.normal else undecided:
-            verdict = self._verdict(i, idxs[i], d + 1, vis)
-            if verdict < 0:
-                return None
-            if verdict == 0:
-                still.append(i)
-        return still
-
-    def _verdict(self, i: int, x: int, depth: int, vis) -> int:
-        """-1 if agent i on action x fails its test at every profile below,
-        1 if it passes at every one, else 0; ``vis`` counts i itself."""
-        lo, hi = self.lo[i][depth], self.hi[i][depth]
-        res_of = self.act_res[i]
-        own = res_of[x]
-        for r in own:
-            vis[r] -= 1
-        x_lo = x_hi = 0.0
-        for r in own:
-            c = vis[r]
-            x_lo += lo[r][c]
-            x_hi += hi[r][c]
-        verdict = 1
-        for y, res in enumerate(res_of):
-            if y == x:
-                continue
-            y_lo = y_hi = 0.0
-            for r in res:
-                c = vis[r]
-                y_lo += lo[r][c]
-                y_hi += hi[r][c]
-            if x_hi < y_lo - TOLERANCE:
-                verdict = -1
-                break
-            if x_lo < y_hi - TOLERANCE:
-                verdict = 0
-        for r in own:
-            vis[r] += 1
-        return verdict
+    _search(game, _agent_classes(game), DEFAULT_ENUM_CAP, fold)
+    if worst is None:
+        return 0, None, None
+    return count, worst[0], game._engine.profile(worst[1])
 
 
 def optimal_welfare(game: GameInstance, cap: int = DEFAULT_ENUM_CAP):
@@ -568,18 +388,19 @@ def _classify(game: GameInstance):
     return k, any_disabled, any_blind, klass
 
 
-def instance_poa(game: GameInstance) -> PoAReport:
+def instance_poa(game: GameInstance, optimum=None) -> PoAReport:
     """Worst equilibrium welfare over the optimum, with the class bound.
 
     Games with no pure Nash equilibrium, an all-zero optimum or an optimum
     that overflows to inf report an undefined ratio and are excluded from
-    bound checks.
+    bound checks. ``optimum`` is the game's :func:`optimal_welfare` where
+    the caller has it already; it ignores the labels, so every relabeling
+    of a game shares it.
     """
-    eqs = enumerate_pne(game)
-    opt_w, opt_a = optimal_welfare(game)
+    count, worst_w, worst_a = _worst_pne(game)
+    opt_w, opt_a = optimal_welfare(game) if optimum is None else optimum
     k, any_disabled, any_blind, klass = _classify(game)
     bound = theoretical_poa(game.n, k, any_disabled, any_blind, klass)
-    worst_w, worst_a = eqs.worst() or (None, None)
     ratio = None
     if worst_a is not None and TOLERANCE < opt_w < math.inf:
         ratio = worst_w / opt_w
@@ -591,7 +412,7 @@ def instance_poa(game: GameInstance) -> PoAReport:
         ratio=ratio,
         theoretical_bound=bound,
         bound_satisfied=None if ratio is None else ratio >= bound - TOLERANCE,
-        pne_count=len(eqs.profiles),
+        pne_count=count,
     )
 
 

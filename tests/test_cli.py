@@ -394,6 +394,15 @@ class TestAnalysis:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("labels", [(), ("--labels", "disabled")])
+    def test_a_k_range_past_n_is_refused_before_it_is_listed(self, labels, capsys):
+        # the range used to be listed whole first, and a forced label walked
+        # all of it: 0..10**12 ended in a MemoryError traceback, exit 1
+        code, out, err = run(
+            capsys, "bounds", "--family", "mc_blind", "--n", "4", "--k", f"0..{10**12}", *labels
+        )
+        assert (code, out, err) == (2, "", "error: need 0 <= k <= n\n")
+
     @pytest.mark.parametrize("command, message", [
         (("gen", "--family", "k_blind", "--n", "4", "--k", "5"), "need 0 <= k < n"),
         (("gen", "--family", "mc_noblind", "--n", "4", "--k", "5"),

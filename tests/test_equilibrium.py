@@ -2,6 +2,7 @@
 closed-form bounds and bound-chain certificates."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility, UtilityClass
-from anarchy_lab import equilibrium
+from anarchy_lab import enumeration, equilibrium
 from anarchy_lab.equilibrium import _best_profile
 from anarchy_lab.game import Action, GameInstance, JointAction
 
@@ -62,6 +63,61 @@ def hub(n, k, eps, delta, labels=None):
 def label_mixes(k):
     B, I = Compromise.BLIND, Compromise.ISOLATED
     return [[B] * k, [I] * k, [B if i % 2 == 0 else I for i in range(k)]]
+
+
+@functools.cache
+def family_scan(game):
+    """Independent oracle for a family game, in one pass over every profile
+    in lexicographic order: its pure Nash equilibria and the first profile
+    of largest welfare, as ``(equilibria, (welfare, profile))``. An
+    agent's best-response set is the model's ``best_response_set``; it
+    depends only on the selection counts of the agents it observes, so it
+    is computed once per agent and such counts. Cached, so that the tests
+    reading a game's equilibria or optimum share one scan of it."""
+    observed = [sorted(al.observed_set(game, i)) for i in range(game.n)]
+    disabled = [c is Compromise.DISABLED for c in game.compromise]
+    responses = {}
+    equilibria, best, best_profile = [], -math.inf, None
+    for a in al.all_profiles(game):
+        w = al.welfare_eval(game, a)
+        if w > best:
+            best, best_profile = w, a
+        for i, act in enumerate(a):
+            if act and disabled[i]:
+                break
+            seen = [a[j] for j in observed[i]]
+            key = (i, tuple(al.selection_counts(game, seen)) if seen else ())
+            if key not in responses:
+                responses[key] = al.best_response_set(game, i, a)
+            if act not in responses[key]:
+                break
+        else:
+            equilibria.append(a)
+    return equilibria, (best, best_profile)
+
+
+# (ε, δ) of the k_blind hubs and ε of mc_blind, as the family tests use them
+HUB_SETTINGS = ((0.01, 0.01, 0.01), (0.01, 0.02, 0.03))
+
+
+def family_grid(settings=HUB_SETTINGS):
+    """The family games the scan-based oracles share: every label mix of
+    ``k_blind`` and ``mc_blind`` at n = 2..7, and at n = 8..10 the
+    alternating mix for k = 0, 1 and 3, with ``mc_noblind`` beside it; the
+    hubs at each of ``settings``."""
+    games = []
+    for n in range(2, 11):
+        if n <= 7:
+            mixes = [(k, mix) for k in range(n) for mix in label_mixes(k)[: 1 if k == 0 else 3]]
+        else:
+            mixes = [(k, label_mixes(k)[2]) for k in (0, 1, 3)]
+        for k, labels in mixes:
+            for eps, delta, mc_eps in settings:
+                games.append(hub(n, k, eps, delta, labels))
+                games.append(al.gen_mc_blind(n, k, mc_eps, labels))
+            if n >= 8 and k:
+                games.append(al.gen_mc_noblind(n, k, 0.01))
+    return games
 
 
 def coverage_game(seed, n, labels=()):
@@ -367,15 +423,12 @@ class TestEnumerate:
         assert list(eqs.welfares) == [al.welfare_eval(game, a) for a in eqs.profiles]
 
     def test_matches_direct_scan_on_families_n8_to_10(self):
-        for n in (8, 9, 10):
-            for k in (0, 1, 3):
-                labels = label_mixes(k)[2]
-                games = [hub(n, k, 0.01, 0.01, labels), al.gen_mc_blind(n, k, 0.01, labels)]
-                if k:
-                    games.append(al.gen_mc_noblind(n, k, 0.01))
-                for game in games:
-                    eqs = al.enumerate_pne(game)
-                    assert list(eqs.profiles) == direct_scan_pne(game), (n, k)
+        # n <= 7 is compared in test_families_at_every_equilibrium
+        games = [game for game in family_grid() if game.n >= 8]
+        assert len(games) == 42
+        for game in games:
+            eqs = al.enumerate_pne(game)
+            assert list(eqs.profiles) == family_scan(game)[0], game.n
 
     def test_increments_growing_by_the_constructor_slack(self):
         # resource 0's increments grow by TOLERANCE per step, which the
@@ -500,7 +553,13 @@ class TestOptimalWelfare:
         assert (w, prof) == direct_scan_opt(g)
 
     def test_matches_direct_scan_on_families(self):
-        scans = {}  # the scan ignores labels: one per welfare and action sets
+        # the optimum ignores labels: one scan per welfare and action sets,
+        # the shared family scan where the grid has one
+        scans = {}
+        for g in family_grid():
+            shape = (g.welfare, g.action_sets)
+            if shape not in scans:
+                scans[shape] = family_scan(g)[1]
         games = []
         for n in range(2, 11):
             for k in range(n):
@@ -750,11 +809,10 @@ class TestInstancePoa:
 
     def test_empty_pne_reported_undefined(self, monkeypatch):
         # the game classes here always have an equilibrium, so the empty set
-        # comes from a stand-in enumeration
+        # comes from a stand-in search that visits no equilibrium
         g = al.gen_k_blind(3, 1, 0.01, 0.01)
         opt = al.optimal_welfare(g)
-        empty = equilibrium.EquilibriumSet(profiles=(), welfares=())
-        monkeypatch.setattr(equilibrium, "enumerate_pne", lambda game: empty)
+        monkeypatch.setattr(equilibrium, "_search", lambda game, classes, cap, visit: (0, 0))
         report = al.instance_poa(g)
         assert (report.opt_welfare, report.opt_profile) == opt
         assert report.worst_ne_welfare is None
@@ -762,6 +820,15 @@ class TestInstancePoa:
         assert report.ratio is None
         assert report.bound_satisfied is None
         assert report.pne_count == 0
+
+    def test_an_optimum_passed_in_serves_every_relabeling(self):
+        # the optimum ignores the labels, so bounds computes it once per k
+        games = (hub(6, 3, 0.01, 0.02), al.gen_mc_blind(6, 3, 0.03), al.gen_sim_game(5, 4, 0.05))
+        for game in games:
+            optimum = al.optimal_welfare(game)
+            for labels in label_mixes(len(game.compromised)):
+                for twin in (relabeled(game, dict(enumerate(labels))), with_disabled(game)):
+                    assert al.instance_poa(twin, optimum) == al.instance_poa(twin)
 
     def test_overflowing_optimum_reported_undefined(self):
         # 1e308 + 1e308 overflows to inf, and inf / inf is NaN: a NaN ratio
@@ -772,6 +839,201 @@ class TestInstancePoa:
         assert report.ratio is None
         assert report.bound_satisfied is None
         assert report.pne_count == 2
+
+
+def assert_matches_the_profile_path(game):
+    """instance_poa's count, worst equilibrium and ratio are the ones of the
+    listing of every equilibrium profile."""
+    report = al.instance_poa(game)
+    eqs = al.enumerate_pne(game)
+    worst_w, worst_a = eqs.worst() or (None, None)
+    opt_w, _ = al.optimal_welfare(game)
+    ratio = None
+    if worst_a is not None and al.TOLERANCE < opt_w < math.inf:
+        ratio = worst_w / opt_w
+    got = (report.pne_count, report.worst_ne_welfare, report.worst_ne_profile, report.ratio)
+    assert got == (len(eqs.profiles), worst_w, worst_a, ratio)
+    assert type(report.pne_count) is int
+
+
+def with_disabled(game):
+    """``game`` with its compromised agents disabled instead."""
+    return dataclasses.replace(game, compromise=tuple(
+        Compromise.NORMAL if c is Compromise.NORMAL else Compromise.DISABLED
+        for c in game.compromise
+    ))
+
+
+# the choices games_with_twins draws, each as one pick from a list: every
+# falling run of n increments, and every set of at most two of m ids
+FALLING = [None] + [
+    st.sampled_from(list(itertools.combinations_with_replacement(
+        (1.0, 0.7, 0.3, 0.2, 0.1, 0.0), n
+    )))
+    for n in range(1, 8)
+]
+SMALL_SETS = [
+    st.sampled_from([
+        frozenset(c) for size in range(3) for c in itertools.combinations(range(m), size)
+    ])
+    for m in range(4)
+]
+
+
+@st.composite
+def games_with_twins(draw):
+    """Separable games whose agents are copies of one to three templates.
+    A template is a label, a utility and one of one or two layouts: actions
+    over shared resources and private resources of the agent's own, with
+    the layout's curves. The resource ids are then shuffled, so a class's
+    private resources may straddle other terms of the welfare sum."""
+    n = draw(st.integers(1, 7))
+
+    def curves(lo, hi):
+        return [
+            tuple(itertools.accumulate(draw(FALLING[n]), initial=0.0))
+            for _ in range(draw(st.integers(lo, hi)))
+        ]
+
+    shared = curves(1, 3)
+    layouts = []
+    for _ in range(draw(st.integers(1, 2))):
+        privates = curves(0, 2)
+        actions = [
+            (draw(SMALL_SETS[len(shared)]), draw(SMALL_SETS[len(privates)]))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        layouts.append((privates, actions))
+    templates = [
+        (draw(st.sampled_from(layouts)), draw(st.sampled_from(Compromise)),
+         draw(st.sampled_from(Utility)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    all_curves, action_sets, labels, utilities = list(shared), [], [], []
+    for _ in range(n):
+        (privates, actions), label, utility = draw(st.sampled_from(templates))
+        ids = range(len(all_curves), len(all_curves) + len(privates))
+        all_curves += privates
+        action_sets.append([res | {ids[p] for p in own} for res, own in actions])
+        labels.append(label)
+        utilities.append(utility)
+    order = draw(st.permutations(range(len(all_curves))))
+    new_id = {old: new for new, old in enumerate(order)}
+    return al.GameInstance(
+        welfare=al.SeparableWelfare(curves=tuple(all_curves[old] for old in order)),
+        action_sets=tuple([frozenset(new_id[r] for r in a) for a in acts] for acts in action_sets),
+        utilities=tuple(utilities),
+        compromise=tuple(labels),
+    )
+
+
+class TestClassSearch:
+    """instance_poa searches over classes of interchangeable agents; the
+    profile listing, every agent a class of its own, is its oracle."""
+
+    def test_matches_the_profile_path_on_families(self):
+        games = []
+        for n in range(2, 11):
+            for k in range(n + 1):
+                for labels in label_mixes(k)[: 1 if k == 0 else 3]:
+                    family = [al.gen_mc_blind(n, k, 0.03, labels)]
+                    if k < n:
+                        family.append(hub(n, k, 0.01, 0.02, labels))
+                    if k == n - 1:
+                        family.append(al.gen_sim_game(n, k, 0.05, labels))
+                    games += family + [with_disabled(g) for g in family if k]
+                if 1 <= k <= n - 2:
+                    noblind = al.gen_mc_noblind(n, k, 0.01)
+                    games += [noblind, with_disabled(noblind)]
+        for values in ([1.0, 0.7, 0.3, 0.4, 2.0, 0.8], [0.5, 0.5, 0.5, 0.5, 0.5, 2.0]):
+            for labels in itertools.product(Compromise, repeat=3):
+                games.append(al.gen_fig1(values, labels))
+        grouped = 0
+        for game in games:
+            assert_matches_the_profile_path(game)
+            grouped += len(enumeration._agent_classes(game)) < game.n
+        assert len(games) > 700 and grouped > 500
+
+    def test_hub_families_have_a_class_per_label_and_role(self):
+        B, I = Compromise.BLIND, Compromise.ISOLATED
+        classes = enumeration._agent_classes
+        assert classes(hub(8, 3, 0.01, 0.02, [B, I, B])) == [[0, 2], [1], [3, 4, 5, 6], [7]]
+        assert classes(al.gen_mc_blind(8, 2, 0.03)) == [[0, 1], [2, 3, 4, 5, 6, 7]]
+        assert classes(al.gen_sim_game(6, 5, 0.05)) == [[0, 1, 2, 3, 4], [5]]
+        # each shadow shares a resource with its isolated agent: singletons
+        assert classes(al.gen_mc_noblind(7, 2, 0.01)) == [[0], [1], [2], [3], [4, 5, 6]]
+        assert classes(coverage_game(3, 4)) == [[0], [1], [2], [3]]  # a table
+
+    def test_a_class_straddling_a_fixed_term_is_split(self):
+        # agents 0 and 1 each take a private resource worth 0.1 or the shared
+        # resource 4; agents 2 and 3 hold resources 0 and 2, which lie
+        # around agent 0's private resource 1. Resource order sums the two
+        # equilibria as ((0.1 + 0.1) + 0.6) + 0.3 = 1.1 and ((0.1 + 0.6) +
+        # 0.1) + 0.3 = 1.0999999999999999, so the pair is not one class
+        step = lambda v: (0.0,) + (v,) * 4
+        game = GameInstance(
+            welfare=al.SeparableWelfare(
+                curves=(step(0.1), step(0.1), step(0.6), step(0.1), step(0.3))
+            ),
+            action_sets=(({1}, {4}), ({3}, {4}), ({0},), ({2},)),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 4,
+            compromise=(Compromise.NORMAL,) * 4,
+        )
+        assert enumeration._agent_classes(game) == [[0], [1], [2], [3]]
+        report = al.instance_poa(game)
+        assert (report.pne_count, report.worst_ne_welfare) == (2, 1.0999999999999999)
+        assert_matches_the_profile_path(game)
+
+    def test_ties_go_to_the_first_profile_across_interleaved_classes(self):
+        # agents 0 and 2 take resource 0 or 1, agents 1 and 3 resource 0 or
+        # both; all 24 equilibria are worth 1.5, and the search, walking
+        # agents 0, 2, 1, 3, meets the orbit of the lexicographically first
+        # one after another orbit
+        game = GameInstance(
+            welfare=al.SeparableWelfare(
+                curves=((0.0, 1.0, 1.2, 1.2, 1.2), (0.0, 0.2, 0.3, 0.3, 0.3))
+            ),
+            action_sets=(({0}, {1}), ({0}, {0, 1})) * 2,
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 4,
+            compromise=(Compromise.NORMAL,) * 4,
+        )
+        assert enumeration._agent_classes(game) == [[0, 2], [1, 3]]
+        report = al.instance_poa(game)
+        assert (report.pne_count, report.worst_ne_welfare) == (24, 1.5)
+        assert report.worst_ne_profile == tuple(map(frozenset, ((), {0}, {1}, {0, 1})))
+        assert_matches_the_profile_path(game)
+
+    @given(games_with_twins())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_profile_path_property(self, game):
+        assert_matches_the_profile_path(game)
+
+    @given(games_with_twins(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_count_and_ratio_do_not_depend_on_agent_order(self, game, data):
+        order = data.draw(st.permutations(range(game.n)))
+        permuted = GameInstance(
+            welfare=game.welfare,
+            action_sets=tuple(game.action_sets[i] for i in order),
+            utilities=tuple(game.utilities[i] for i in order),
+            compromise=tuple(game.compromise[i] for i in order),
+        )
+        report, moved = al.instance_poa(game), al.instance_poa(permuted)
+        assert (moved.pne_count, moved.worst_ne_welfare, moved.ratio) == (
+            report.pne_count, report.worst_ne_welfare, report.ratio
+        )
+        assert_matches_the_profile_path(permuted)
+
+    def test_counts_exactly_past_the_reach_of_the_profile_path(self):
+        # mc_blind: the blind agents take the shared resource, and every
+        # profile of the normal agents is then an equilibrium
+        report = al.instance_poa(al.gen_mc_blind(24, 2, 0.01))
+        assert report.pne_count == 2**22
+        assert report.ratio == 1.01 / 3.01
+        report = al.instance_poa(al.gen_mc_blind(200, 2, 0.01))
+        assert report.pne_count == 2**198
+        assert report.worst_ne_profile == (frozenset({0}),) * 2 + (frozenset(),) * 198
+        assert report.ratio == 1.01 / 3.01
 
 
 def overflowing_pair():
@@ -1060,17 +1322,14 @@ class TestBoundChainsMatchTheReference:
 
     def test_families_at_every_equilibrium(self):
         checked = 0
-        for n in range(2, 8):
-            games = [hub(n, 0, 0.01, 0.01), al.gen_mc_blind(n, 0, 0.01)]
-            for k in range(1, n):
-                for labels in label_mixes(k):
-                    games.append(hub(n, k, 0.01, 0.01, labels))
-                    games.append(al.gen_mc_blind(n, k, 0.01, labels))
-            for game in games:
-                _, a_opt = al.optimal_welfare(game)
-                for a_ne in al.enumerate_pne(game).profiles:
-                    assert_chains_match(game, a_ne, a_opt)
-                    checked += 1
+        for game in family_grid(HUB_SETTINGS[:1]):
+            if game.n > 7:
+                continue
+            equilibria, (_, a_opt) = family_scan(game)
+            assert list(al.enumerate_pne(game).profiles) == equilibria
+            for a_ne in equilibria:
+                assert_chains_match(game, a_ne, a_opt)
+                checked += 1
         assert checked >= 200
 
     @pytest.mark.parametrize("utilities", [(Utility.MARGINAL_CONTRIBUTION,), tuple(Utility)])

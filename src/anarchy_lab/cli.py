@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SIZE_CAP = 3
 EXIT_BOUND_VIOLATION = 4
+# the longest start:stop:count temperature grid, built as a list
+MAX_TEMPERATURES = 10_000
 
 
 def _value(x: float) -> str:
@@ -141,8 +143,9 @@ def _parse_temps(spec: str):
         for name, value in (("start", start), ("stop", stop)):
             if not math.isfinite(value):
                 raise ValueError(f"temperature grid {spec!r} has a non-finite {name} {value!r}")
-        if count < 1:
-            raise ValueError(f"temperature grid {spec!r} needs a count of at least 1")
+        if not 1 <= count <= MAX_TEMPERATURES:
+            raise ValueError(f"temperature grid {spec!r} needs a count from 1 to "
+                             f"MAX_TEMPERATURES = {MAX_TEMPERATURES}")
         if count == 1:
             return [start]
         if mode == "log":
@@ -425,12 +428,10 @@ def cmd_lll(args) -> int:
     temps = _parse_temps(args.temps)
     a0 = None
     if args.init == "worst-ne":
-        eqs = eq.enumerate_pne(game)
-        worst = eqs.worst()
-        if worst is None:
+        _, _, a0 = eq._worst_pne(game)
+        if a0 is None:
             print("no equilibrium to start from", file=sys.stderr)
             return EXIT_VALIDATION
-        a0 = worst[1]
     result = learning.temperature_sweep(
         game,
         temps,

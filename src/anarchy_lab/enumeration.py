@@ -1,8 +1,8 @@
-"""Pure Nash equilibrium search: the depth-first search over classes of
-interchangeable agents behind :func:`equilibrium.enumerate_pne` and
-:func:`equilibrium.instance_poa`, and the bounds on agents' utilities
-that cut it. Everything evaluates through the game's kernel
-(``game._Engine``).
+"""Pure Nash equilibrium search over classes of interchangeable agents,
+and the bounds on agents' utilities that cut it: the one search behind
+:func:`equilibrium.enumerate_pne`, which lists every equilibrium, and
+:func:`equilibrium._worst_pne`, which folds them into their count and the
+worst one. Everything evaluates through the game's kernel (``game._Engine``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import collections
 import itertools
 import math
 
-from .game import EMPTY_ACTION, TOLERANCE, Compromise, GameInstance, SizeCapError, _Engine
+from .game import TOLERANCE, Compromise, GameInstance, SizeCapError, _Engine
 
 
 def _argmax_indices(values):
@@ -115,9 +115,9 @@ def _search(game: GameInstance, classes, cap: int, visit):
     test once per action and observed base set. At a complete profile the
     bounds are the exact test's own floats and decide every agent; a table
     runs the scan's exact test for the normal agents still undecided.
-    ``visit(idxs, acts, weight, welfare)`` is called on each equilibrium
-    found, with its action indices and actions by agent (lists the search
-    goes on to change), the size of its orbit and its welfare.
+    ``visit(idxs, weight, welfare)`` is called on each equilibrium found,
+    with its action indices by agent (a list the search goes on to change),
+    the size of its orbit and its welfare.
     SizeCapError once more than ``cap`` branches end, on complete profiles
     or cut subtrees.
     """
@@ -149,7 +149,6 @@ def _search(game: GameInstance, classes, cap: int, visit):
     vis = [0] * eng.m  # selection counts of the visible agents assigned so far
     full = [0] * eng.m  # ... and of every agent assigned so far
     idxs = [0] * n  # by agent
-    acts = [EMPTY_ACTION] * n  # ... and its action
     pos = [-1] * n  # by depth: the position of its agent's action in its candidates
     # undecided[d]: the normal agents above depth d whose test the node
     # above depth d left open
@@ -174,7 +173,6 @@ def _search(game: GameInstance, classes, cap: int, visit):
             continue
         pos[d] = p
         j = idxs[i] = candidates[d][p]
-        acts[i] = eng.actions[i][j]
         if separable:
             for r in act_res[i][j]:
                 full[r] += 1
@@ -200,11 +198,11 @@ def _search(game: GameInstance, classes, cap: int, visit):
         for lo, hi in spans:
             weight *= _orbit_size(pos[lo:hi])
         if separable:
-            visit(idxs, acts, weight, eng.value(full))
+            visit(idxs, weight, eng.value(full))
             continue
         # only a table leaves agents undecided here, and its test reads only
         # the agent's action and observed base set: one run and entry each
-        a = tuple(acts)
+        a = eng.profile(idxs)
         for u in still:
             ctx = eng.context(a, eng.sees[u])
             key = (u, idxs[u], ctx)
@@ -214,7 +212,7 @@ def _search(game: GameInstance, classes, cap: int, visit):
             if not ok:
                 break
         else:
-            visit(idxs, acts, weight, eng.value(eng.context(a)))
+            visit(idxs, weight, eng.value(eng.context(a)))
     return nodes, pruned
 
 

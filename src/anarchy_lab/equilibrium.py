@@ -2,23 +2,15 @@
 price of anarchy against closed-form worst-case bounds, per-instance bound
 certificates, and randomized worst-case instance search.
 
-Everything here is exact and deterministic. Enumeration, the search in
-``enumeration``, exploits the compromise structure: a blind or isolated
-agent's best-response set does not depend on the rest of the profile, so
-its candidates are computed once and only the remaining agents are
-enumerated. It is a depth-first search in the order of a scan of every
-profile; for separable welfare, bounds on each normal agent's utilities
-over the profiles below a node cut subtrees where an agent must fail its
-test and skip the test where it must pass, and the profiles reached run
-the scan's own test, so the result is the scan's. The anarchy ratio reads
-only the number of equilibria and the worst one, so it runs the same
-search over classes of interchangeable agents, one nondecreasing sequence
-of candidates per class standing for the orbit of profiles that permute
-its agents, and folds the orbits into an exact count and the worst
-profile. Welfare optima come from a dynamic program over agents that
-returns what a scan of every profile would. The fast paths evaluate
-welfare, observed contexts and candidate utilities through the game's
-evaluation kernel (``game._Engine``); the profile-level
+Everything here is exact and deterministic. Equilibria come from the one
+search in ``enumeration``: :func:`enumerate_pne` lists every profile (the
+``pne`` command), and every other answer (the anarchy ratio, the bound
+sweeps, the worst-case search, learning's worst-equilibrium start) reads
+:func:`_worst_pne`, which folds the orbits of interchangeable agents into
+an exact count and the worst profile, both the ones a scan of every profile
+finds. Welfare optima come from a dynamic program over agents that returns
+what a scan of every profile would. The fast paths evaluate through the
+game's evaluation kernel (``game._Engine``); the profile-level
 ``best_response_set`` and ``is_pne`` evaluate the model's definitions
 directly and are the reference the tests hold the kernel to. Bound
 certificates value each term of a chain once, as a kernel context; the
@@ -45,12 +37,11 @@ from .game import (
     Utility,
     _Engine,
     effective_utility,
-    joint_space_size,
     validate_joint_action,
     welfare_eval,
 )
 from .enumeration import _agent_classes, _argmax_indices, _search
-from .instances import _labels_for, _random_game, _step_curve
+from .instances import _check_draw_limits, _labels_for, _random_game, _step_curve
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -101,13 +92,6 @@ class EquilibriumSet:
         if self.is_empty:
             return None
         idx = min(range(len(self.welfares)), key=self.welfares.__getitem__)
-        return self.welfares[idx], self.profiles[idx]
-
-    def best(self):
-        """(welfare, profile) of the best equilibrium; first among ties."""
-        if self.is_empty:
-            return None
-        idx = max(range(len(self.welfares)), key=self.welfares.__getitem__)
         return self.welfares[idx], self.profiles[idx]
 
 
@@ -180,8 +164,8 @@ def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> Equilibriu
     """
     profiles, welfares = [], []
 
-    def keep(idxs, acts, weight, welfare):
-        profiles.append(tuple(acts))
+    def keep(idxs, weight, welfare):
+        profiles.append(game._engine.profile(idxs))
         welfares.append(welfare)
 
     nodes, pruned = _search(game, [[i] for i in range(game.n)], cap, keep)
@@ -199,7 +183,7 @@ def _worst_pne(game: GameInstance):
     branches of this search."""
     count, worst = 0, None
 
-    def fold(idxs, acts, weight, welfare):
+    def fold(idxs, weight, welfare):
         nonlocal count, worst
         count += weight
         if worst is None or welfare < worst[0] or (welfare == worst[0] and idxs < worst[1]):
@@ -625,23 +609,25 @@ def worst_case_search(config: SearchConfig):
 
     Returns (game, report) of the worst instance found. Candidates with no
     equilibrium, or a zero or overflowing optimum, have no ratio and are
-    skipped (ValueError if all were); best-effort, deterministic given the
-    seed. A candidate of more than ``DEFAULT_ENUM_CAP`` profiles is skipped
-    unanalysed, since a fifth to a half of a sample's profiles are equilibria.
+    skipped, as is a candidate whose analysis passes its cap of branches
+    (SizeCapError); ValueError if all were. Best-effort, deterministic
+    given the seed.
     """
     if config.k > config.n:
         raise ValueError("k must not exceed n")
     try:
         _labels_for(config.k, config.labels)
+        _check_draw_limits(config.max_resources, config.max_actions)
     except ValueError as exc:
         raise ValueError(f"search config: {exc}") from None
     rng = random.Random(config.seed)
     best = None
     for _ in range(config.budget):
         game = _sample_candidate(config, rng)
-        if joint_space_size(game) > DEFAULT_ENUM_CAP:
+        try:
+            report = instance_poa(game)
+        except SizeCapError:
             continue
-        report = instance_poa(game)
         if report.ratio is None:
             continue
         if best is None or report.ratio < best[1].ratio:
@@ -649,7 +635,8 @@ def worst_case_search(config: SearchConfig):
     if best is None:
         raise ValueError(
             "no sampled candidate produced a defined ratio "
-            "(each had no equilibrium, a zero optimum or an optimum that overflows)"
+            "(each had no equilibrium, a zero optimum, an optimum that overflows, "
+            "or an analysis past its cap of branches)"
         )
     return best
 

@@ -443,8 +443,10 @@ class _Engine:
         self.visible = [
             c in (Compromise.NORMAL, Compromise.BLIND) for c in game.compromise
         ]
-        # sees[i]: the agents i observes; empty for blind, isolated, disabled
-        self.sees = [tuple(sorted(observed_set(game, i))) for i in range(game.n)]
+        # sees[i]: the agents i observes, the visible ones but i if i is normal
+        shown = [j for j, v in enumerate(self.visible) if v]
+        self.sees = [tuple([j for j in shown if j != i]) if c is Compromise.NORMAL else ()
+                     for i, c in enumerate(game.compromise)]
         self.separable = game.separable
         if self.separable:
             self.curves = curves = game.welfare.curves

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 FAMILY_NAMES = ("k_blind", "mc_blind", "mc_noblind", "sim", "fig1", "random")
+# the largest max_resources and max_actions a random game's draws take
+MAX_RESOURCES = MAX_ACTIONS = 1_000
 
 
 class ParseError(ValueError):
@@ -88,6 +90,14 @@ def _labels_for(k: int, labels: Optional[Sequence]) -> tuple:
     if any(l is Compromise.NORMAL for l in out):
         raise ValueError("compromise labels must not be 'normal'")
     return out
+
+
+def _check_draw_limits(max_resources: int, max_actions: int) -> None:
+    if max_resources > MAX_RESOURCES or max_actions > MAX_ACTIONS:
+        raise ValueError(
+            f"max_resources must be at most MAX_RESOURCES = {MAX_RESOURCES} "
+            f"and max_actions at most MAX_ACTIONS = {MAX_ACTIONS}"
+        )
 
 
 def _step_game(n, values, choices, utility, compromise) -> GameInstance:
@@ -250,6 +260,7 @@ def gen_random_separable(
     """
     if n < 1 or max_resources < 1 or max_actions < 2:
         raise ValueError("need n >= 1, max_resources >= 1, max_actions >= 2")
+    _check_draw_limits(max_resources, max_actions)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     labs = _labels_for(k, labels)

@@ -1,20 +1,42 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import anarchy_lab as al
 import anarchy_lab.game as game_module
-from anarchy_lab import cli
+from anarchy_lab import cli, equilibrium
 from anarchy_lab.cli import main
-from test_equilibrium import overflowing_pair
+from test_equilibrium import coverage_game, overflowing_pair
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the CLI in a child process with 256 MB of address space, for inputs that
+# would allocate or loop without bound if nothing refused them
+LIMITED = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)); "
+    "from anarchy_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_limited(cwd, *argv):
+    """(exit code, stdout, stderr) of ``argv`` run under LIMITED, cut after 10 s."""
+    src = os.path.dirname(os.path.dirname(al.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED, *argv], cwd=cwd, capture_output=True, text=True,
+        timeout=10, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def strict_json(text):
@@ -52,6 +74,17 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("flag", ["--max-resources", "--max-actions"])
+    def test_random_draw_limits(self, tmp_path, capsys, flag):
+        argv = ["gen", "--family", "random", "--n", "3", "--out", str(tmp_path / "g.json")]
+        assert run(capsys, *argv, flag, "1000")[0] == 0
+        code, out, err = run(capsys, *argv, flag, "1001")
+        assert (code, out) == (2, "")
+        assert "at most MAX_RESOURCES = 1000 and max_actions at most MAX_ACTIONS = 1000" in err
+        code, out, err = run_limited(tmp_path, *argv, flag, str(10**30))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: max_resources must be at most MAX_RESOURCES")
 
     def test_bad_parameters_exit_validation(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "k_blind", "--n", "3", "--k", "3")
@@ -586,6 +619,25 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err.startswith("error: search config: not valid JSON: ")
 
+    @pytest.mark.parametrize("key", ["max_resources", "max_actions"])
+    def test_draw_limits_past_the_maximum_exit_two(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "value_grid": [1], "budget": 2, key: 10**30}))
+        code, out, err = run_limited(tmp_path, "search", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search config: max_resources must be at most MAX_RESOURCES")
+
+    def test_samples_past_ten_million_profiles_are_analysed(self, tmp_path, capsys):
+        # 645 million to 4.9 billion profiles each, with 9,591 to 104,976
+        # equilibria: all three used to be skipped for size, exit 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 24, "k": 1, "labels": ["blind"], "value_grid": [0.5, 1, 2], "budget": 3, "seed": 1,
+        }))
+        code, out, _ = run(capsys, "search", "--config", str(cfg))
+        assert code == 0
+        assert "worst ratio found:   1.0\n" in out
+
     def test_overflowing_candidates_are_skipped(self, tmp_path, capsys):
         # a NaN worst ratio used to be reported as a violated bound, exit 4
         cfg = tmp_path / "cfg.json"
@@ -629,13 +681,47 @@ class TestLll:
         assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
 
     def test_worst_ne_start(self, tmp_path, capsys):
+        # the start is the first worst equilibrium of the listing of them all
+        inst, csv = tmp_path / "g.json", tmp_path / "sweep.csv"
+        for game in (
+            al.gen_sim_game(5, 4, 0.05),
+            al.gen_mc_blind(8, 2, 0.01),  # tied worst equilibria
+            al.gen_random_separable(
+                5, 3, 3, k=2, labels=(al.Compromise.BLIND, al.Compromise.ISOLATED), seed=4
+            ),
+            coverage_game(5, 4, [al.Compromise.BLIND, al.Compromise.ISOLATED]),
+        ):
+            inst.write_text(al.serialize(game))
+            code, _, _ = run(
+                capsys, "lll", "--instance", str(inst), "--temps", "0.0005,1", "--steps", "300",
+                "--trials", "2", "--seed", "2", "--init", "worst-ne", "--out", str(csv),
+            )
+            assert code == 0
+            a0 = al.enumerate_pne(game).worst()[1]
+            sweep = al.temperature_sweep(game, [0.0005, 1.0], steps=300, trials=2, seed=2, a0=a0)
+            assert csv.read_text() == sweep.to_csv()
+
+    def test_worst_ne_start_without_an_equilibrium_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the game classes here always have an equilibrium, so the empty set
+        # comes from a stand-in search that visits no equilibrium
         inst = tmp_path / "sim.json"
         inst.write_text(al.serialize(al.gen_sim_game(5, 4, 0.05)))
-        code, out, _ = run(
-            capsys, "lll", "--instance", str(inst), "--temps", "0.0005",
-            "--steps", "2000", "--trials", "1", "--seed", "2", "--init", "worst-ne",
+        monkeypatch.setattr(equilibrium, "_search", lambda game, classes, cap, visit: (0, 0))
+        code, out, err = run(
+            capsys, "lll", "--instance", str(inst), "--temps", "0.1", "--init", "worst-ne",
         )
-        assert code == 0
+        assert (code, out, err) == (2, "", "no equilibrium to start from\n")
+
+    def test_a_grid_past_the_most_temperatures_exits_two(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "sim.json"
+        inst.write_text(al.serialize(al.gen_sim_game(3, 2, 0.05)))
+        argv = ("lll", "--instance", str(inst), "--steps", "1", "--temps")
+        message = "error: temperature grid '0.1:1:{}' needs a count from 1 to MAX_TEMPERATURES = {}\n"
+        code, out, err = run_limited(tmp_path, *argv, f"0.1:1:{10**30}")
+        assert (code, out, err) == (2, "", message.format(10**30, 10_000))
+        monkeypatch.setattr(cli, "MAX_TEMPERATURES", 3)
+        assert run(capsys, *argv, "0.1:1:3")[0] == 0
+        assert run(capsys, *argv, "0.1:1:4") == (2, "", message.format(4, 3))
 
     @pytest.mark.parametrize(
         "temps", ["nan", "inf", "0.1,nan", "1:0.1:0", "1:0.1:-2", "nan:1:3(lin)"]

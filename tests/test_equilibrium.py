@@ -1617,35 +1617,54 @@ class TestWorstCaseSearch:
         assert report.bound_satisfied
         assert any(r.opt_welfare == math.inf and r.ratio is None for r in reports)
 
-    def test_skips_candidates_past_the_enumeration_cap(self, monkeypatch):
-        # three samples of 2^16 profiles and, second, one of 12,754,584,
-        # which is skipped unanalysed
+    # three samples of 2^16 profiles and, second, one of 12,754,584, more
+    # than DEFAULT_ENUM_CAP, on which the class search ends 12,960 branches
+    SAMPLES_2927 = al.SearchConfig(
+        n=16,
+        k=1,
+        labels=(Compromise.BLIND,),
+        utility_class=UtilityClass.MARGINAL_CONTRIBUTION,
+        value_grid=(0.5, 1.0),
+        budget=4,
+        seed=2927,
+        max_resources=2,
+    )
+
+    def test_analyses_candidates_of_any_joint_space_size(self, monkeypatch):
         analysed = []
 
         def instance_poa(game):
-            analysed.append(al.joint_space_size(game))
-            return poa(game)
+            report = poa(game)
+            analysed.append((al.joint_space_size(game), report.pne_count, report.ratio))
+            return report
 
         poa = equilibrium.instance_poa
         monkeypatch.setattr(equilibrium, "instance_poa", instance_poa)
-        config = al.SearchConfig(
-            n=16,
-            k=1,
-            labels=(Compromise.BLIND,),
-            utility_class=UtilityClass.MARGINAL_CONTRIBUTION,
-            value_grid=(0.5, 1.0),
-            budget=4,
-            seed=2927,
-            max_resources=2,
-        )
-        rng = random.Random(config.seed)
-        sizes = [
-            al.joint_space_size(equilibrium._sample_candidate(config, rng))
-            for _ in range(config.budget)
-        ]
-        assert min(sizes) <= equilibrium.DEFAULT_ENUM_CAP < max(sizes)
-        al.worst_case_search(config)
-        assert analysed == [s for s in sizes if s <= equilibrium.DEFAULT_ENUM_CAP]
+        al.worst_case_search(self.SAMPLES_2927)
+        small = (2**16, 2**15, 1.0)
+        assert analysed == [small, (12_754_584, 4_251_016, 1.0), small, small]
+
+    def test_skips_candidates_past_the_branch_cap(self, monkeypatch):
+        skipped = []
+
+        def instance_poa(game):
+            try:
+                return poa(game)
+            except al.SizeCapError:
+                skipped.append(al.joint_space_size(game))
+                raise
+
+        poa = equilibrium.instance_poa
+        monkeypatch.setattr(equilibrium, "instance_poa", instance_poa)
+        # the small samples end 16 branches each
+        monkeypatch.setattr(equilibrium, "DEFAULT_ENUM_CAP", 100)
+        _, report = al.worst_case_search(self.SAMPLES_2927)
+        assert (skipped, report.ratio) == ([12_754_584], 1.0)
+        monkeypatch.setattr(equilibrium, "DEFAULT_ENUM_CAP", 0)
+        with pytest.raises(ValueError) as exc:
+            al.worst_case_search(self.SAMPLES_2927)
+        assert str(exc.value).endswith("or an analysis past its cap of branches)")
+        assert len(skipped) == 1 + self.SAMPLES_2927.budget
 
     @pytest.mark.parametrize("labels", [(), (Compromise.BLIND, Compromise.ISOLATED)])
     def test_a_label_list_of_another_length_is_rejected(self, labels):
@@ -1682,13 +1701,12 @@ class TestWorstCaseSearch:
 
 
 class TestEquilibriumSetAccessors:
-    def test_worst_and_best_bracket_all_equilibria(self):
+    def test_worst_is_below_every_equilibrium(self):
         g = al.gen_mc_blind(5, 2, 0.1)
         eqs = al.enumerate_pne(g)
-        lo, hi = eqs.worst()[0], eqs.best()[0]
-        assert lo <= hi
+        lo = eqs.worst()[0]
         for w in eqs.welfares:
-            assert lo <= w <= hi
+            assert lo <= w
 
     def test_first_among_ties(self):
         g = al.gen_mc_blind(4, 2, 0.05)

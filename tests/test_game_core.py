@@ -1,6 +1,7 @@
 """Welfare, utilities, observation structure and the compromise transform."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -220,6 +221,14 @@ class TestObservedSet:
         assert al.observed_set(g, 2) == frozenset()
         assert al.observed_set(g, 3) == frozenset()
         assert al.observed_set(g, 4) == frozenset({0, 1})
+
+    def test_kernel_sees_what_the_definition_observes(self):
+        # the kernel derives what each agent sees from the labels alone; the
+        # definition is the reference, over every label mix of four agents
+        for labels in itertools.product(Compromise, repeat=4):
+            g = step_game([1.0, 0.5], [[{0}, {1}]] * 4, [Utility.MARGINAL_CONTRIBUTION] * 4, labels)
+            for i in range(g.n):
+                assert g._engine.sees[i] == tuple(sorted(al.observed_set(g, i)))
 
 
 def random_suite(count, k_choices=(0, 1, 2), label_pool=(Compromise.BLIND, Compromise.ISOLATED)):

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import equilibrium as eq
@@ -55,16 +56,24 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _json(doc, **kwargs) -> str:
-    """``doc`` as strict JSON (RFC 8259): a non-finite float, at any depth
-    of lists and dicts, is written as null, not as ``Infinity`` or ``NaN``."""
-    def finite(x):
-        if isinstance(x, float):
-            return x if math.isfinite(x) else None
-        if isinstance(x, dict):
-            return {k: finite(v) for k, v in x.items()}
-        return [finite(v) for v in x] if isinstance(x, (list, tuple)) else x
-    return json.dumps(finite(doc), allow_nan=False, **kwargs)
+def _json(x, pad: Optional[str] = "") -> str:
+    """``x`` as strict JSON in one pass: ``json.dumps(x, indent=2)``'s text at
+    indentation ``pad`` (``json.dumps(x)``'s if None), byte for byte, but with
+    a non-finite float at any depth as null. A non-str key is a TypeError."""
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = None if pad is None else pad + "  "
+    if isinstance(x, (list, tuple)):
+        return inst._json_list([_json(v, inner) for v in x], pad)
+    # a dict: its "key": value items laid out as a list's, in braces
+    items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in x.items()]
+    return "{" + inst._json_list(items, pad)[1:-1] + "}"
 
 
 def _profile_json(profile):
@@ -201,7 +210,7 @@ def cmd_check(args) -> int:
     if failure is not None:
         print(f"violation [{failure.kind}]: {failure.message}")
         if failure.witness:
-            print(f"witness: {_json(failure.witness, sort_keys=True)}")
+            print(f"witness: {_json(dict(sorted(failure.witness.items())), None)}")
     return EXIT_OK if vug.ok else EXIT_VALIDATION
 
 
@@ -209,7 +218,7 @@ def cmd_pne(args) -> int:
     game = _read_instance(args.instance)
     eqs = eq.enumerate_pne(game)
     rows = [
-        (idx, w, _json(_profile_json(p)))
+        (idx, w, _json(_profile_json(p), None))
         for idx, (p, w) in enumerate(zip(eqs.profiles, eqs.welfares))
     ]
     print(f"pure Nash equilibria: {len(rows)}")
@@ -223,7 +232,7 @@ def cmd_pne(args) -> int:
                 for p, w in zip(eqs.profiles, eqs.welfares)
             ],
         }
-        _write_text(args.json, _json(doc, indent=2) + "\n")
+        _write_text(args.json, _json(doc) + "\n")
     return EXIT_OK
 
 
@@ -255,7 +264,7 @@ def cmd_poa(args) -> int:
     print(f"theoretical bound:   {_value(report.theoretical_bound)}")
     print(f"bound satisfied:     {_cell(report.bound_satisfied)}")
     if args.json:
-        _write_text(args.json, _json(_poa_doc(report), indent=2) + "\n")
+        _write_text(args.json, _json(_poa_doc(report)) + "\n")
     if report.bound_satisfied is False:
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -364,7 +373,7 @@ def cmd_bounds(args) -> int:
         ("k", "labels", "ratio", "bound", "satisfied", "chains"), rows
     )
     if args.json:
-        _write_text(args.json, _json(docs, indent=2) + "\n")
+        _write_text(args.json, _json(docs) + "\n")
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 
@@ -417,7 +426,7 @@ def cmd_search(args) -> int:
     if args.out:
         _write_text(args.out, inst.serialize(game))
     if args.report:
-        _write_text(args.report, _json(_poa_doc(report), indent=2) + "\n")
+        _write_text(args.report, _json(_poa_doc(report)) + "\n")
     if report.bound_satisfied is False:
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -545,7 +554,7 @@ def main(argv=None) -> int:
         UnsupportedUtilityError,
         ModelIncompleteError,
         ValueError,
-        OverflowError,  # a count too large to index, e.g. --n 10**30
+        OverflowError,  # a count too large to index
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from .game import (
     welfare_eval,
 )
 from .enumeration import _agent_classes, _argmax_indices, _search
-from .instances import _check_draw_limits, _labels_for, _random_game, _step_curve
+from .instances import _check_size_limits, _labels_for, _random_game, _step_curve
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -617,7 +617,7 @@ def worst_case_search(config: SearchConfig):
         raise ValueError("k must not exceed n")
     try:
         _labels_for(config.k, config.labels)
-        _check_draw_limits(config.max_resources, config.max_actions)
+        _check_size_limits(config.n, config.max_resources, config.max_actions)
     except ValueError as exc:
         raise ValueError(f"search config: {exc}") from None
     rng = random.Random(config.seed)

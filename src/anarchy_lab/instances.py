@@ -17,6 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .game import (
@@ -46,6 +47,7 @@ __all__ = [
 FAMILY_NAMES = ("k_blind", "mc_blind", "mc_noblind", "sim", "fig1", "random")
 # the largest max_resources and max_actions a random game's draws take
 MAX_RESOURCES = MAX_ACTIONS = 1_000
+MAX_AGENTS = 2_000  # the most agents a family or search game takes (k_blind: 4M curve cells)
 
 
 class ParseError(ValueError):
@@ -74,6 +76,7 @@ class FamilyParams:
             raise ValueError("eps and delta must be nonnegative")
         if not (math.isfinite(self.eps) and math.isfinite(self.delta)):
             raise ValueError("eps and delta must be finite")
+        _check_size_limits(self.n, self.max_resources, self.max_actions)
 
 
 def _step_curve(value: float, n: int) -> tuple:
@@ -92,11 +95,11 @@ def _labels_for(k: int, labels: Optional[Sequence]) -> tuple:
     return out
 
 
-def _check_draw_limits(max_resources: int, max_actions: int) -> None:
-    if max_resources > MAX_RESOURCES or max_actions > MAX_ACTIONS:
+def _check_size_limits(n: int, max_resources: int, max_actions: int) -> None:
+    if n > MAX_AGENTS or max_resources > MAX_RESOURCES or max_actions > MAX_ACTIONS:
         raise ValueError(
-            f"max_resources must be at most MAX_RESOURCES = {MAX_RESOURCES} "
-            f"and max_actions at most MAX_ACTIONS = {MAX_ACTIONS}"
+            f"max_resources must be at most MAX_RESOURCES = {MAX_RESOURCES} and max_actions "
+            f"at most MAX_ACTIONS = {MAX_ACTIONS}, and n at most MAX_AGENTS = {MAX_AGENTS}"
         )
 
 
@@ -260,7 +263,7 @@ def gen_random_separable(
     """
     if n < 1 or max_resources < 1 or max_actions < 2:
         raise ValueError("need n >= 1, max_resources >= 1, max_actions >= 2")
-    _check_draw_limits(max_resources, max_actions)
+    _check_size_limits(n, max_resources, max_actions)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     labs = _labels_for(k, labels)
@@ -335,29 +338,37 @@ def gen_family(params: FamilyParams) -> GameInstance:
 # instance file format
 
 
+def _json_list(items: list, pad: Optional[str]) -> str:
+    """Rendered ``items`` in ``json.dumps(indent=2)``'s list layout at ``pad``; one line if None."""
+    if pad is None or not items:
+        return "[" + ", ".join(items) + "]"
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]"
+
+
 def serialize(game: GameInstance) -> str:
     """Render a game as the JSON instance document (lossless round trip).
 
     The empty opt-out action is implicit and not written; action sets are
     already canonically ordered, and table entries are written by size, then
-    resource ids, so repeated serialization of equal games is byte-identical.
+    resource ids. The text is exactly ``json.dumps(doc, indent=2)``'s, written directly.
     """
-    doc = {"n": game.n}
+    L, p4, p6 = _json_list, " " * 4, " " * 6
     if game.separable:
-        doc["resources"] = [
-            {"id": r, "curve": list(curve)}
-            for r, curve in enumerate(game.welfare.curves)
-        ]
+        resources = [f'{{\n{p6}"id": {r},\n{p6}"curve": {L(json.dumps(c)[1:-1].split(", "), p6)}'
+                     f'\n{p4}}}' for r, c in enumerate(game.welfare.curves)]
+        table = ""
     else:
-        doc["resources"] = [{"id": r} for r in range(game.num_resources)]
+        resources = [f'{{\n{p6}"id": {r}\n{p4}}}' for r in range(game.num_resources)]
         rows = sorted((len(s), sorted(s), v) for s, v in game.welfare.entries)
-        doc["table"] = [{"subset": ids, "value": v} for _, ids, v in rows]
-    doc["action_sets"] = [
-        [sorted(a) for a in acts if a] for acts in game.action_sets
-    ]
-    doc["utility"] = [u.value for u in game.utilities]
-    doc["compromise"] = [c.value for c in game.compromise]
-    return json.dumps(doc, indent=2) + "\n"
+        table = ',\n  "table": ' + L([f'{{\n{p6}"subset": {L(list(map(str, ids)), p6)},\n'
+                                      f'{p6}"value": {v!r}\n{p4}}}' for _, ids, v in rows], "  ")
+    action_sets = [L([L(list(map(str, sorted(a))), p6) for a in acts if a], p4)
+                   for acts in game.action_sets]
+    labels = lambda enums: L([encode_basestring_ascii(e.value) for e in enums], "  ")
+    return (f'{{\n  "n": {game.n},\n  "resources": {L(resources, "  ")}{table},\n'
+            f'  "action_sets": {L(action_sets, "  ")},\n  "utility": {labels(game.utilities)},\n'
+            f'  "compromise": {labels(game.compromise)}\n}}\n')
 
 
 def _expect(doc: dict, key: str, where: str):

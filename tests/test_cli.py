@@ -1,17 +1,22 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anarchy_lab as al
 import anarchy_lab.game as game_module
 from anarchy_lab import cli, equilibrium
+from anarchy_lab import instances as inst
 from anarchy_lab.cli import main
 from test_equilibrium import coverage_game, overflowing_pair
+from test_instances import reference_serialize
 
 
 def run(capsys, *argv):
@@ -85,6 +90,18 @@ class TestGen:
         code, out, err = run_limited(tmp_path, *argv, flag, str(10**30))
         assert (code, out) == (2, "")
         assert err.startswith("error: max_resources must be at most MAX_RESOURCES")
+
+    def test_a_huge_n_exits_two_before_allocating(self, tmp_path, capsys):
+        # k_blind's curves hold (n+1)^2 cells: n = 10^8 used to end in a
+        # MemoryError traceback, exit 1
+        code, out, err = run_limited(tmp_path, "gen", "--family", "k_blind", "--n", "100000000",
+                                     "--k", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "n at most MAX_AGENTS = 2000" in err
+        argv = ["gen", "--family", "mc_blind", "--k", "0", "--out", str(tmp_path / "g.json")]
+        assert run(capsys, *argv, "--n", str(inst.MAX_AGENTS))[0] == 0
+        assert al.parse((tmp_path / "g.json").read_text()).n == inst.MAX_AGENTS
+        assert run(capsys, *argv, "--n", str(inst.MAX_AGENTS + 1))[0] == 2
 
     def test_bad_parameters_exit_validation(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "k_blind", "--n", "3", "--k", "3")
@@ -541,6 +558,123 @@ class TestAnalysis:
         assert code == 0
 
 
+def finite(x):
+    """``x`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: finite(v) for k, v in x.items()}
+    return [finite(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+
+def reference_json(x, pad=""):
+    """What json's own encoder writes for ``cli._json(x, pad)``: the oracle
+    for the one-pass writer."""
+    if pad is None:
+        return json.dumps(finite(x), allow_nan=False)
+    return json.dumps(finite(x), allow_nan=False, indent=2).replace("\n", "\n" + pad)
+
+
+def report_runs(tmp_path):
+    """Commands writing every kind of JSON document, the overflow game's
+    among them (its welfare is written as null)."""
+    paths = {}
+    for name, game in [
+        ("k_blind", al.gen_k_blind(5, 2, 0.01, 0.01)),
+        ("mc_blind", al.gen_mc_blind(5, 2, 0.01, labels=["blind", "isolated"])),
+        ("coverage", coverage_game(3, 3)),
+        ("overflow", overflowing_pair()),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(al.serialize(game))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "k": 1, "labels": ["blind"], "value_grid": [0.5, 1],
+                               "budget": 20, "seed": 2}))
+    runs = [[cmd, "--instance", str(path), "--json", str(tmp_path / f"{cmd}-{name}.out")]
+            for cmd in ("poa", "pne") for name, path in paths.items()]
+    runs += [["bounds", "--family", family, "--n", "5", "--k", "0..2", "--json",
+              str(tmp_path / f"bounds-{family}.out")] for family in ("k_blind", "mc_blind")]
+    runs.append(["bounds", "--family", "mc_blind", "--n", "4", "--k", "1..2", "--labels",
+                 "disabled", "--json", str(tmp_path / "bounds-disabled.out")])
+    runs.append(["search", "--config", str(cfg), "--report", str(tmp_path / "search.out"),
+                 "--out", str(tmp_path / "search-game.json")])
+    runs.append(["check", "--instance", str(paths["overflow"])])
+    return runs
+
+
+class TestJsonWriter:
+    def test_reports_match_the_json_encoder_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        write = cli._json
+
+        def spy(x, pad=""):
+            text = write(x, pad)
+            calls.append((x, pad, text))
+            return text
+
+        # the writer's recursive calls go through the spy too
+        monkeypatch.setattr(cli, "_json", spy)
+        for argv in report_runs(tmp_path):
+            main(argv)
+        capsys.readouterr()
+        assert {pad for _, pad, _ in calls} >= {None, "", "  ", "    ", "      "}
+        for x, pad, text in calls:
+            assert text == reference_json(x, pad)
+        outputs = sorted(tmp_path.glob("*.out"))
+        assert len(outputs) == 12
+        overflow = json.loads((tmp_path / "poa-overflow.out").read_text())
+        assert overflow["opt_welfare"] is None
+        for path in outputs:
+            text = path.read_text()
+            assert text == json.dumps(strict_json(text), indent=2) + "\n"
+        game_doc = (tmp_path / "search-game.json").read_text()
+        assert game_doc == reference_serialize(al.parse(game_doc))
+
+    def test_witness_line_matches_the_json_encoder(self, tmp_path, capsys):
+        game = overflowing_pair()
+        path = tmp_path / "overflow.json"
+        path.write_text(al.serialize(game))
+        out = run(capsys, "check", "--instance", str(path))[1]
+        witness = al.check_vug(game).welfare.failure.witness
+        expected = json.dumps(finite(witness), allow_nan=False, sort_keys=True)
+        assert f"witness: {expected}\n" in out
+
+    def test_strings_are_ascii_escaped(self):
+        doc = {"caf\u00e9": ["\u2028", "\U0001f600", "tab\t\"quote\"\\", ""]}
+        text = cli._json(doc)
+        assert text.isascii() and "\\ud83d\\ude00" in text
+        assert text == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (0,)])
+    def test_a_key_that_is_not_a_string_is_refused(self, key):
+        # json would write 1, 1.5, null and true as strings and refuse the
+        # tuple; the writer refuses them all, at any depth
+        for doc in ({key: 0}, [{"a": {key: [1.0]}}]):
+            for pad in ("", None):
+                with pytest.raises(TypeError):
+                    cli._json(doc, pad)
+
+
+JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**100)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES, st.sampled_from(["", None]))
+def test_json_writer_matches_the_json_encoder(x, pad):
+    assert cli._json(x, pad) == reference_json(x, pad)
+
+
 class TestSearch:
     def test_search_writes_worst_instance(self, tmp_path, capsys):
         config = {
@@ -610,6 +744,15 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_huge_n_exits_two_before_allocating(self, tmp_path):
+        # one action set per agent: n = 10^9 used to end in a MemoryError
+        # traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10**9, "value_grid": [1], "budget": 1}))
+        code, out, err = run_limited(tmp_path, "search", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search config: ") and "MAX_AGENTS = 2000" in err
 
     def test_a_deeply_nested_config_exits_two(self, tmp_path, capsys):
         # json.load's RecursionError used to end in a traceback, exit 1

@@ -482,6 +482,126 @@ class TestSerialization:
             al.parse(json.dumps(doc))
 
 
+def reference_serialize(game):
+    """The instance document laid out by ``json.dumps(doc, indent=2)``: the
+    oracle for ``serialize``, which writes the same text directly."""
+    doc = {"n": game.n}
+    if game.separable:
+        doc["resources"] = [
+            {"id": r, "curve": list(curve)}
+            for r, curve in enumerate(game.welfare.curves)
+        ]
+    else:
+        doc["resources"] = [{"id": r} for r in range(game.num_resources)]
+        rows = sorted((len(s), sorted(s), v) for s, v in game.welfare.entries)
+        doc["table"] = [{"subset": ids, "value": v} for _, ids, v in rows]
+    doc["action_sets"] = [
+        [sorted(a) for a in acts if a] for acts in game.action_sets
+    ]
+    doc["utility"] = [u.value for u in game.utilities]
+    doc["compromise"] = [c.value for c in game.compromise]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def named_family_games():
+    """Every named family at n = 1..12, every k it takes, with the default
+    labels and the all-blind, all-isolated and alternating mixes."""
+    hubs = {"k_blind": lambda n, k, labs: al.gen_k_blind(n, k, 0.01, 0.001, labs),
+            "mc_blind": lambda n, k, labs: al.gen_mc_blind(n, k, 0.02, labs),
+            "sim": lambda n, k, labs: al.gen_sim_game(n, k, 0.05, labs)}
+    for n in range(1, 13):
+        for k in range(n + 1):
+            for gen in hubs.values():
+                for labs in hub_label_options(k)[:4]:
+                    try:
+                        yield gen(n, k, labs)
+                    except ValueError:
+                        pass  # a k the family does not take
+            if 1 <= k <= n - 2:
+                yield al.gen_mc_noblind(n, k, 0.03)
+    for labs in itertools.product(("blind", "isolated", "disabled"), repeat=3):
+        yield al.gen_fig1(FIG1_VALUES, labels=labs)
+
+
+def sim_twin():
+    """The sim game with its step welfare written out as a table over all
+    2,048 subsets of its 11 resources."""
+    sim = al.gen_sim_game(10, 9, 0.05)
+    values = [curve[1] for curve in sim.welfare.curves]
+    table = {
+        frozenset(s): sum(values[r] for r in s)
+        for size in range(len(values) + 1)
+        for s in itertools.combinations(range(len(values)), size)
+    }
+    return dataclasses.replace(
+        sim, welfare=al.TabulatedWelfare.from_mapping(table, len(values))
+    )
+
+
+class Float(float):
+    def __repr__(self):
+        return f"Float({float(self)!r})"
+
+
+def oracle_games():
+    yield from TestSerialization().all_generator_outputs()
+    yield from named_family_games()
+    for seed in range(60):
+        n = 1 + seed % 6
+        k = seed % (n + 1)
+        labels = [(Compromise.BLIND, Compromise.ISOLATED)[(seed + i) % 2] for i in range(k)]
+        yield al.gen_random_separable(n, 4, 4, k=k, labels=labels, seed=seed)
+    for seed in range(20):
+        game = coverage_game(seed, 1 + seed % 4)
+        items = sorted(game.welfare.table.items(), key=lambda e: (len(e[0]), sorted(e[0])))
+        holed = [e for i, e in enumerate(items) if i == 0 or (i + seed) % 3]
+        yield dataclasses.replace(
+            game, welfare=al.TabulatedWelfare(holed, game.num_resources)
+        )
+    # a table that holds only the empty set
+    yield al.GameInstance(
+        al.TabulatedWelfare.from_mapping({frozenset(): 0.0}, 2),
+        (({0}, {1}), ()), ("mc",) * 2, ("normal",) * 2,
+    )
+    # curve values of any number type json writes: ints, and a float
+    # subclass whose repr is not a JSON number
+    yield al.GameInstance(
+        SeparableWelfare(curves=((0, 2, 3), (0.0, Float(0.5), Float(0.75)))),
+        (({0}, {1}),) * 2, ("mc",) * 2, ("normal",) * 2,
+    )
+    # an agent whose only action is opting out, written []
+    yield al.GameInstance(
+        SeparableWelfare(curves=((0.0, 1.0, 1.0),)), (({0},), ()), ("es",) * 2, ("blind", "normal")
+    )
+    yield sim_twin()
+
+
+def test_serialize_matches_the_json_layout_byte_for_byte():
+    games = list(oracle_games())
+    assert len(games) > 850
+    for game in games:
+        doc = al.serialize(game)
+        assert doc == reference_serialize(game)
+        assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
+    twin = games[-1]
+    assert len(json.loads(al.serialize(twin))["table"]) == 2048
+    assert '"action_sets": [\n    [\n      [\n        0\n      ]\n    ],\n    []\n  ],' in (
+        al.serialize(games[-2])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 6), tabulated=st.booleans())
+def test_serialize_is_its_own_json_layout(seed, n, tabulated):
+    if tabulated:
+        game = coverage_game(seed, n)
+    else:
+        game = al.gen_random_separable(n, 5, 5, k=seed % (n + 1), seed=seed)
+    doc = al.serialize(game)
+    assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
+    assert doc == reference_serialize(game)
+
+
 # any JSON value, including non-finite floats and an integer no float holds
 JSON_VALUES = st.recursive(
     st.none()

@@ -38,8 +38,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SIZE_CAP = 3
 EXIT_BOUND_VIOLATION = 4
-# the longest start:stop:count temperature grid, built as a list
+# the longest start:stop:count temperature grid, built as a list; the most
+# steps of one LLL run, and trials per temperature (each a row kept)
 MAX_TEMPERATURES = 10_000
+MAX_STEPS = 100_000_000
+MAX_TRIALS = 1_000
 
 
 def _value(x: float) -> str:
@@ -433,6 +436,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_lll(args) -> int:
+    for name, cap in (("steps", MAX_STEPS), ("trials", MAX_TRIALS)):
+        if getattr(args, name) > cap:
+            raise ValueError(f"--{name} {getattr(args, name)} is past MAX_{name.upper()} = {cap}")
     game = _read_instance(args.instance)
     temps = _parse_temps(args.temps)
     a0 = None

@@ -111,8 +111,9 @@ def _search(game: GameInstance, classes, cap: int, visit):
     sure to pass it everywhere below is not tested again (see
     :class:`_TermBounds`); an agent on the action of the agent before it in
     its class shares that agent's verdict. Tabulated welfare, which need
-    not be submodular, is searched without either, and runs each agent's
-    test once per action and observed base set. At a complete profile the
+    not be submodular, is searched without either; its base sets are bit
+    masks kept move by move, and each agent's test is run once per observed
+    base set, for all its actions at once. At a complete profile the
     bounds are the exact test's own floats and decide every agent; a table
     runs the scan's exact test for the normal agents still undecided.
     ``visit(idxs, weight, welfare)`` is called on each equilibrium found,
@@ -148,12 +149,16 @@ def _search(game: GameInstance, classes, cap: int, visit):
     act_res, visible = eng.act_res, eng.visible
     vis = [0] * eng.m  # selection counts of the visible agents assigned so far
     full = [0] * eng.m  # ... and of every agent assigned so far
+    # tabulated welfare, bit masks by depth: the base set of the agents down
+    # to it (fmask), of the visible ones (vmask), the resources one visible
+    # one alone selects (vones); index n, never written, is the empty set
+    fmask, vmask, vones = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     idxs = [0] * n  # by agent
     pos = [-1] * n  # by depth: the position of its agent's action in its candidates
     # undecided[d]: the normal agents above depth d whose test the node
     # above depth d left open
     undecided = [()] * n
-    passes = {}  # tabulated welfare: (agent, action, observed base set) -> test
+    passes = [{} for _ in range(n)]  # tables, by agent: observed base set -> test by action
     nodes = pruned = ends = 0
     d = 0
     while d >= 0:
@@ -178,6 +183,11 @@ def _search(game: GameInstance, classes, cap: int, visit):
                 full[r] += 1
                 if visible[i]:
                     vis[r] += 1
+        else:
+            b, seen = eng.masks[i][j], vmask[d - 1]
+            v = b if visible[i] else 0
+            fmask[d], vmask[d] = fmask[d - 1] | b, seen | v
+            vones[d] = vones[d - 1] & ~v | v & ~seen
         nodes += 1
         still = normal
         if bounds is not None:
@@ -201,18 +211,18 @@ def _search(game: GameInstance, classes, cap: int, visit):
             visit(idxs, weight, eng.value(full))
             continue
         # only a table leaves agents undecided here, and its test reads only
-        # the agent's action and observed base set: one run and entry each
-        a = eng.profile(idxs)
+        # the agent's observed base set, the visible agents' without the
+        # resources u alone selects: one run for all u's actions per set
         for u in still:
-            ctx = eng.context(a, eng.sees[u])
-            key = (u, idxs[u], ctx)
-            ok = passes.get(key)
-            if ok is None:
-                ok = passes[key] = _best_responds(eng.utilities(u, ctx), idxs[u])
-            if not ok:
+            seen = vmask[d] & ~(eng.masks[u][idxs[u]] & vones[d])
+            row = passes[u].get(seen)
+            if row is None:
+                utils = eng.utilities(u, eng.base(seen))
+                row = passes[u][seen] = [_best_responds(utils, y) for y in range(len(utils))]
+            if not row[idxs[u]]:
                 break
         else:
-            visit(idxs, weight, eng.value(eng.context(a)))
+            visit(idxs, weight, eng.value_mask(fmask[d]))
     return nodes, pruned
 
 

@@ -465,6 +465,8 @@ class _Engine:
         else:
             self.table = game.welfare.table
             self.empty = EMPTY_ACTION
+            # masks[i][j]: the resources of agent i's action j, bit r for r
+            self.masks = [[sum(1 << r for r in a) for a in acts] for acts in self.actions]
 
     def context(self, a, agents=None):
         """The context formed by the entries ``a[j]`` for j in ``agents``
@@ -521,6 +523,20 @@ class _Engine:
             raise ModelIncompleteError(
                 f"no welfare table entry for base set {sorted(ctx)}"
             ) from None
+
+    @cached_property
+    def by_mask(self) -> dict:
+        """The welfare table keyed by base-set bit masks."""
+        return {sum(1 << r for r in s): v for s, v in self.table.items()}
+
+    def base(self, mask: int) -> frozenset:
+        """The base set whose bit mask is ``mask``."""
+        return frozenset(r for r in range(self.m) if mask >> r & 1)
+
+    def value_mask(self, mask: int) -> float:
+        """:meth:`value` of the base set ``base(mask)``."""
+        v = self.by_mask.get(mask)
+        return self.value(self.base(mask)) if v is None else v  # value raises
 
     def utilities(self, i: int, ctx) -> list:
         """Agent i's designed utility for each of its actions, played on top
@@ -777,8 +793,9 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     report is ok, the kernel's certificate settles both conditions and the
     tightness per resource (``path="certificate"``, no profile walked).
     Otherwise every profile is scanned in :func:`all_profiles` order, its
-    context built once and each W(a₋ᵢ) read off it with agent i taken out,
-    so W(a), W(a₋ᵢ) and equal shares are the per-profile functions' floats;
+    context (counts, or base-set bit masks) kept move by move and each W(a₋ᵢ)
+    read off it with agent i taken out, so W(a), W(a₋ᵢ) and equal shares are
+    the per-profile functions' floats;
     a game of more than ``DEFAULT_CHECK_CAP`` profiles that the certificate
     may not settle is refused before either scan.
     """
@@ -795,18 +812,16 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     """The profile scan behind :func:`check_vug`, on top of the welfare
     report ``welfare_report``; the caller checks the profile cap."""
     eng = game._engine
-    n, separable, value, act_res = eng.n, eng.separable, eng.value, eng.act_res
-
-    cond2_ok = True
-    cond3_ok = True
-    cond3_tight = True
+    n, separable, act_res = eng.n, eng.separable, eng.act_res
+    value, own = (eng.value, None) if separable else (eng.value_mask, eng.masks)
+    cond2_ok = cond3_ok = cond3_tight = True
     failure: Optional[CheckFinding] = None
     profiles = 0
 
     def opt_out(i: int) -> float:
-        """W(a₋ᵢ); tabulated welfare builds the base set afresh."""
+        """W(a₋ᵢ): agent i's resources out of the counts or the base set."""
         if not separable:
-            return value(eng.context(a[:i] + a[i + 1 :]))
+            return value(mask & ~(own[i][idxs[i]] & ones))
         res = act_res[i][idxs[i]]
         for r in res:
             ctx[r] -= 1
@@ -815,17 +830,24 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
             ctx[r] += 1
         return v
 
-    for idxs in itertools.product(*(range(len(acts)) for acts in eng.actions)):
-        a = eng.profile(idxs)
-        ctx = eng.context(a)
+    idxs, last = [0] * n, [len(acts) - 1 for acts in eng.actions]  # from the empty action 0
+    ctx = [0] * eng.m  # separable welfare: the selection counts
+    # tabulated welfare: the base set of agents 0..j-1 (bases[j]) and the
+    # resources exactly one of them selects (solos[j]), as bit masks
+    bases, solos = [0] * (n + 1), [0] * (n + 1)
+    while True:
+        a = eng.profile(idxs) if utility_fn is not None else None
+        mask, ones = bases[n], solos[n]
         # one W(a) per profile and at most one opt-out welfare per agent
         profiles += 1
-        w = value(ctx)
+        w = value(ctx if separable else mask)
         total = 0.0
         for i in range(n):
             marginal = None
             if utility_fn is not None:
                 u = utility_fn(game, i, a)
+            elif not separable:  # a table's utilities are marginal contributions
+                u = marginal = w - value(mask & ~(own[i][idxs[i]] & ones))
             elif eng.is_mc[i]:
                 u = marginal = w - opt_out(i)
             else:  # equal share, summed in sorted resource order
@@ -844,38 +866,40 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
                     failure = CheckFinding(
                         "utility-below-marginal",
                         f"agent {i}'s utility is below its marginal contribution",
-                        {
-                            "agent": i,
-                            "profile": [sorted(x) for x in a],
-                            "utility": u,
-                            "marginal": marginal,
-                        },
+                        {"agent": i, "profile": [sorted(x) for x in eng.profile(idxs)],
+                         "utility": u, "marginal": marginal},
                     )
         if total > w + TOLERANCE:
-            cond3_ok = False
-            cond3_tight = False
+            cond3_ok = cond3_tight = False
             if failure is None:
                 failure = CheckFinding(
-                    "utility-sum-exceeds-welfare",
-                    "utilities sum above the welfare",
-                    {
-                        "profile": [sorted(x) for x in a],
-                        "utility_sum": total,
-                        "welfare": w,
-                    },
+                    "utility-sum-exceeds-welfare", "utilities sum above the welfare",
+                    {"profile": [sorted(x) for x in eng.profile(idxs)],
+                     "utility_sum": total, "welfare": w},
                 )
         elif abs(total - w) > TOLERANCE:
             cond3_tight = False
+        # the next profile in itertools.product order: the last agent not on
+        # its last action moves on, each agent after it back to the empty one
+        j = n - 1
+        while j >= 0 and idxs[j] == last[j]:
+            j -= 1
+        if j < 0:
+            break
+        if separable:
+            for i in range(j, n):
+                for r in act_res[i][idxs[i]]:
+                    ctx[r] -= 1
+            for r in act_res[j][idxs[j] + 1]:
+                ctx[r] += 1
+        else:
+            b, below = own[j][idxs[j] + 1], bases[j]
+            bases[j + 1 :] = [below | b] * (n - j)
+            solos[j + 1 :] = [solos[j] & ~b | b & ~below] * (n - j)
+        idxs[j] += 1
+        idxs[j + 1 :] = [0] * (n - j - 1)
 
-    ok = welfare_report.ok and cond2_ok and cond3_ok
     if failure is None and not welfare_report.ok:
         failure = welfare_report.failure
-    return VugReport(
-        ok=ok,
-        welfare=welfare_report,
-        utility_dominates_marginal=cond2_ok,
-        utility_sum_bounded=cond3_ok,
-        utility_sum_tight=cond3_tight,
-        failure=failure,
-        profiles_checked=profiles,
-    )
+    return VugReport(welfare_report.ok and cond2_ok and cond3_ok, welfare_report, cond2_ok,
+                     cond3_ok, cond3_tight, failure, profiles)

@@ -866,6 +866,29 @@ class TestLll:
         assert run(capsys, *argv, "0.1:1:3")[0] == 0
         assert run(capsys, *argv, "0.1:1:4") == (2, "", message.format(4, 3))
 
+    @pytest.mark.parametrize("option, cap", [("--steps", "MAX_STEPS"), ("--trials", "MAX_TRIALS")])
+    def test_a_count_past_its_cap_exits_two_before_any_step(
+        self, tmp_path, capsys, monkeypatch, option, cap
+    ):
+        inst = tmp_path / "mc.json"
+        inst.write_text(al.serialize(al.gen_mc_blind(3, 1, 0.01)))
+        argv = ("lll", "--instance", str(inst), "--temps", "0.1", "--steps", "1", option)
+        message = f"error: {option} {{}} is past {cap} = {{}}\n"
+        limit = getattr(cli, cap)
+        code, out, err = run_limited(tmp_path, *argv, str(10**30))
+        assert (code, out, err) == (2, "", message.format(10**30, limit))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(al.learning, "_play", no_run)
+        assert run(capsys, *argv, str(10**30)) == (2, "", message.format(10**30, limit))
+        assert run(capsys, *argv, str(limit + 1)) == (2, "", message.format(limit + 1, limit))
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, cap, 2)
+        assert run(capsys, *argv, "2")[0] == 0
+        assert run(capsys, *argv, "3") == (2, "", message.format(3, 2))
+
     @pytest.mark.parametrize(
         "temps", ["nan", "inf", "0.1,nan", "1:0.1:0", "1:0.1:-2", "nan:1:3(lin)"]
     )

@@ -360,6 +360,56 @@ class TestEnumerate:
             assert calls == [i for i, lab in enumerate(game.compromise) if lab in (B, I)]
         assert found > 0
 
+    def test_tables_run_each_test_once_per_agent_and_observed_base_set(self, monkeypatch):
+        # a table's leaf test reads only what the agent observes, so the
+        # kernel's utilities are read once per normal agent and observed
+        # base set the search meets, for all its actions at once, and once
+        # per blind or isolated agent for its candidates
+        calls = []
+        utilities = equilibrium._Engine.utilities
+
+        def spy(eng, i, ctx):
+            calls.append((i, ctx))
+            return utilities(eng, i, ctx)
+
+        def swap(a, i, act):
+            return a[:i] + (act,) + a[i + 1 :]
+
+        monkeypatch.setattr(equilibrium._Engine, "utilities", spy)
+        B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
+        mixes = ([], [B], [I, B], [D, I], [B, D, I])
+        shared = 0
+        for seed in range(20):
+            game = coverage_game(seed, 4 + seed % 3, mixes[seed % 5])
+            empty = al.empty_profile(game)
+            # the profiles the search tests: blind and isolated agents on their
+            # best actions alone, disabled ones on the empty action
+            choices = []
+            for i, acts in enumerate(game.action_sets):
+                if game.compromise[i] is D:
+                    acts = [al.EMPTY_ACTION]
+                elif game.compromise[i] in (B, I):
+                    values = [al.effective_utility(game, i, swap(empty, i, x)) for x in acts]
+                    acts = [x for x, v in zip(acts, values) if v >= max(values) - al.TOLERANCE]
+                choices.append(acts)
+            expected, met = set(), set()
+            for a in itertools.product(*choices):
+                for u in game.agents_with(Compromise.NORMAL):
+                    seen = al.base_set(al.masked_profile(game, u, swap(a, u, al.EMPTY_ACTION)))
+                    expected.add((u, seen))
+                    met.add((u, seen, a[u]))
+                    values = [al.effective_utility(game, u, swap(a, u, x))
+                              for x in game.action_sets[u]]
+                    if values[game.action_sets[u].index(a[u])] < max(values) - al.TOLERANCE:
+                        break
+            calls.clear()
+            al.enumerate_pne(game)
+            tested = [(i, ctx) for i, ctx in calls if game.compromise[i] is Compromise.NORMAL]
+            assert len(tested) == len(set(tested)) and set(tested) == expected, seed
+            assert len(calls) - len(tested) == len(game.agents_with(B, I))
+            shared += len(met) - len(expected)
+        assert shared  # base sets met with two or more actions of their agent
+
     def test_hub_family_worst_equilibrium_welfare_is_one(self):
         eqs = al.enumerate_pne(hub(3, 1, 0.1, 0.01))
         assert not eqs.is_empty

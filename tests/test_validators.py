@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import anarchy_lab as al
 import anarchy_lab.game as game_module
 from anarchy_lab import Compromise, Utility
-from test_equilibrium import holed_table_game, small_separable_games, small_tabulated_games
+from test_equilibrium import (
+    coverage_game, holed_table_game, small_separable_games, small_tabulated_games,
+)
 
 
 def tabulated_game(table, num_resources, action_sets, labels=None):
@@ -601,6 +603,9 @@ def reference_vug_conditions(game, utility_fn=None):
     return cond2_ok, cond3_ok, cond3_tight, failure, profiles
 
 
+B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
+
+
 class TestCheckVugSharedEvaluations:
     GAMES = [
         al.gen_k_blind(4, 2, 0.01, 0.01),
@@ -612,6 +617,14 @@ class TestCheckVugSharedEvaluations:
     ] + [
         al.gen_random_separable(n=4, max_resources=3, max_actions=3, k=seed % 3, seed=seed)
         for seed in range(6)
+    ] + [
+        # coverage tables with compromised agents, and a table whose missing
+        # entry [0, 2] the walk meets after its first profiles
+        coverage_game(0, 5, [B, I]),
+        coverage_game(6, 5, [D, B]),
+        coverage_game(10, 5, [I, D, B]),
+        coverage_game(7, 4),
+        holed_table_game(12, 4, [B], missing=0.3),
     ]
     DESIGNS = [
         None,
@@ -623,30 +636,44 @@ class TestCheckVugSharedEvaluations:
     @pytest.mark.parametrize("design", range(len(DESIGNS)))
     def test_matches_the_per_profile_reference(self, design):
         fn = self.DESIGNS[design]
-        for game in self.GAMES:
+
+        def conditions(game, fn):
             report = scan_vug(game, utility_fn=fn)
-            got = (
+            return (
                 report.utility_dominates_marginal,
                 report.utility_sum_bounded,
                 report.utility_sum_tight,
                 report.failure if report.welfare.ok else None,
                 report.profiles_checked,
             )
-            assert got == reference_vug_conditions(game, fn), game
 
-    @pytest.mark.parametrize("utility", list(Utility))
-    def test_evaluates_the_welfare_once_per_profile_and_agent(self, monkeypatch, utility):
-        game = al.gen_random_separable(n=6, max_resources=3, max_actions=3, seed=4,
-                                       utility_choices=(utility,))
+        raised = 0
+        for game in self.GAMES:
+            got = check_outcome(lambda g: conditions(g, fn), game)
+            assert got == check_outcome(lambda g: reference_vug_conditions(g, fn), game), game
+            raised += got[0] is al.ModelIncompleteError
+        assert raised == 1  # the holed table
+
+    @pytest.mark.parametrize("game", [
+        al.gen_random_separable(n=6, max_resources=3, max_actions=3, seed=4,
+                                utility_choices=(utility,))
+        for utility in Utility
+    ] + [coverage_game(3, 6, [B, I, D])], ids=[str(u) for u in Utility] + ["table"])
+    def test_evaluates_the_welfare_once_per_profile_and_agent(self, monkeypatch, game):
         calls = []
-        real = game_module._Engine.value
 
-        def counting(eng, ctx):
-            calls.append(1)
-            return real(eng, ctx)
+        def counting(read):
+            def spy(eng, ctx):
+                calls.append(1)
+                return read(eng, ctx)
 
-        # every welfare value, in both scans, is one kernel value() call
-        monkeypatch.setattr(game_module._Engine, "value", counting)
+            return spy
+
+        # every welfare value, in both scans, is one kernel value() call or,
+        # for a table's profile walk, one value_mask() call
+        for read in ("value", "value_mask"):
+            monkeypatch.setattr(game_module._Engine, read,
+                                counting(getattr(game_module._Engine, read)))
         game_module._scan_submodular(game)
         in_submodular = len(calls)
         calls.clear()
@@ -654,6 +681,24 @@ class TestCheckVugSharedEvaluations:
         assert report.ok
         # W(a) and the n opt-out values: 7 per profile for 6 agents
         assert len(calls) - in_submodular == report.profiles_checked * (1 + game.n)
+
+    @pytest.mark.parametrize("game", [
+        al.gen_random_separable(n=5, max_resources=3, max_actions=3, seed=2),
+        coverage_game(0, 5, [B, I]),
+        holed_table_game(3, 4, [I]),
+    ], ids=["separable", "table", "holed-table"])
+    def test_the_walk_builds_no_context_from_a_profile(self, monkeypatch, game):
+        # the context is kept move by move: neither the kernel's context()
+        # nor base_set() runs once the submodularity report is in
+        welfare = game_module._scan_submodular(game)
+
+        def refuse(*args):
+            raise AssertionError("a context built from a whole profile")
+
+        monkeypatch.setattr(game_module._Engine, "context", refuse)
+        monkeypatch.setattr(game_module, "base_set", refuse)
+        report = game_module._scan_vug(game, None, welfare)
+        assert report.profiles_checked == al.joint_space_size(game)
 
 
 def vug_outcome(game, check=scan_vug, utility_fn=None):

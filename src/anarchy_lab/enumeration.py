@@ -217,7 +217,7 @@ def _search(game: GameInstance, classes, cap: int, visit):
             seen = vmask[d] & ~(eng.masks[u][idxs[u]] & vones[d])
             row = passes[u].get(seen)
             if row is None:
-                utils = eng.utilities(u, eng.base(seen))
+                utils = eng.utilities_mask(u, seen)
                 row = passes[u][seen] = [_best_responds(utils, y) for y in range(len(utils))]
             if not row[idxs[u]]:
                 break

@@ -425,8 +425,11 @@ class _Engine:
 
     A *context* is what the welfare depends on: per-resource selection
     counts for separable welfare, the base set for tabulated welfare. The
-    kernel holds no reference to its game, so a dropped game is freed by
-    reference counting alone.
+    table walks also name a base set by its bit mask (bit r for resource
+    r); :meth:`value_mask` reads the table through one memo by mask, filled
+    lazily as entries are first read, so each entry costs one frozenset per
+    game. The kernel holds no reference to its game, so a dropped game is
+    freed by reference counting alone.
     """
 
     def __init__(self, game: GameInstance):
@@ -467,6 +470,7 @@ class _Engine:
             self.empty = EMPTY_ACTION
             # masks[i][j]: the resources of agent i's action j, bit r for r
             self.masks = [[sum(1 << r for r in a) for a in acts] for acts in self.actions]
+            self.known = {}  # table entries read so far, by base-set mask
 
     def context(self, a, agents=None):
         """The context formed by the entries ``a[j]`` for j in ``agents``
@@ -493,16 +497,19 @@ class _Engine:
 
     def reachable(self, agents) -> list:
         """Every distinct context the actions of ``agents`` can form, in the
-        order first reached. SizeCapError once they form L contexts with
-        (n + 1)·L·(L + A) past 50,000,000, A counting every agent's actions:
-        the submodularity scan takes about L·A joins to build, and L² pairs
-        to compare, for the full layer and each agent's opponents' layer,
-        none larger than the full one since every agent can opt out."""
-        layer, actions = {self.empty: None}, sum(map(len, self.actions))
+        order first reached, a table's as base-set bit masks. SizeCapError
+        once they form L contexts with (n + 1)·L·(L + A) past 50,000,000, A
+        counting every agent's actions: the submodularity scan takes about
+        L·A joins to build, and L² pairs to compare, for the full layer and
+        each agent's opponents' layer, none larger than the full one since
+        every agent can opt out."""
+        actions = sum(map(len, self.actions))
+        if self.separable:
+            layer, join, acts = {self.empty: None}, self.join, self.actions
+        else:
+            layer, join, acts = {0: None}, int.__or__, self.masks
         for j in agents:
-            layer = dict.fromkeys(
-                self.join(ctx, act) for ctx in layer for act in self.actions[j]
-            )
+            layer = dict.fromkeys(join(ctx, act) for ctx in layer for act in acts[j])
             if (self.n + 1) * len(layer) * (len(layer) + actions) > 50_000_000:
                 raise SizeCapError(f"the submodularity scan of {self.n + 1} layers of "
                                    f"{len(layer)} or more contexts passes its cap")
@@ -524,26 +531,19 @@ class _Engine:
                 f"no welfare table entry for base set {sorted(ctx)}"
             ) from None
 
-    @cached_property
-    def by_mask(self) -> dict:
-        """The welfare table keyed by base-set bit masks."""
-        return {sum(1 << r for r in s): v for s, v in self.table.items()}
-
-    def base(self, mask: int) -> frozenset:
-        """The base set whose bit mask is ``mask``."""
-        return frozenset(r for r in range(self.m) if mask >> r & 1)
-
     def value_mask(self, mask: int) -> float:
-        """:meth:`value` of the base set ``base(mask)``."""
-        v = self.by_mask.get(mask)
-        return self.value(self.base(mask)) if v is None else v  # value raises
+        """:meth:`value` of the base set whose bit mask is ``mask``; a
+        missing entry raises in :meth:`value` and is not memoised."""
+        v = self.known.get(mask)
+        if v is None:
+            v = self.known[mask] = self.value(frozenset(_mask_ids(mask)))
+        return v
 
     def utilities(self, i: int, ctx) -> list:
         """Agent i's designed utility for each of its actions, played on top
         of the context ``ctx``, which must exclude agent i."""
         if not self.separable:
-            base = self.value(ctx)
-            return [self.value(ctx | act) - base for act in self.actions[i]]
+            return self.utilities_mask(i, sum([1 << r for r in ctx]))
         terms = self.terms[i]
         out = []
         for res in self.act_res[i]:
@@ -552,6 +552,12 @@ class _Engine:
                 u += terms[r][ctx[r]]
             out.append(u)
         return out
+
+    def utilities_mask(self, i: int, seen: int) -> list:
+        """:meth:`utilities` of a table on the base set whose bit mask is
+        ``seen``; the entries are read in action order after the base's."""
+        value, base = self.value_mask, self.value_mask(seen)
+        return [value(seen | b) - base for b in self.masks[i]]
 
     def profile(self, idxs) -> JointAction:
         """The profile with agent j playing its action number ``idxs[j]``."""
@@ -682,8 +688,9 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     """The exhaustive scan behind :func:`check_submodular`.
 
     Contexts are deduplicated by what the welfare actually depends on
-    (per-resource counts for separable welfare, base sets for tabulated), and
-    compared by count dominance resp. base-set inclusion. Each context gets
+    (per-resource counts for separable welfare, base sets for tabulated, as
+    bit masks read through :meth:`_Engine.value_mask`), and compared by
+    count dominance resp. base-set inclusion. Each context gets
     the list of contexts strictly above it, built once for the full profiles
     and once per agent for all its actions, and walked pair by pair, so the
     report names the first violating pair and counts the pairs compared. A
@@ -695,29 +702,37 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     """
     eng = game._engine
     separable = game.separable
+    value, join = (eng.value, eng.join) if separable else (eng.value_mask, int.__or__)
     contexts_checked = pairs_checked = 0
 
     def failed(kind, message, witness=None) -> SubmodularityReport:
         finding = CheckFinding(kind, message, witness)
         return SubmodularityReport(False, finding, contexts_checked, pairs_checked)
 
-    # one integer per context, a field per resource holding its count (0/1
-    # in a base set) under a guard bit: b is above s exactly when no field of
-    # (b | guard) - s borrows its guard bit
-    width = game.n.bit_length() + 1 if separable else 2
+    # one integer per count context, a field per resource holding its count
+    # under a guard bit: b is above s exactly when no field of (b | guard) - s
+    # borrows its guard bit
+    width = game.n.bit_length() + 1
     guard = sum(1 << (r * width + width - 1) for r in range(game.num_resources))
 
     def ordered(keys) -> list:
-        return sorted(keys, key=lambda k: (sum(k), k) if separable else (len(k), sorted(k)))
+        if separable:
+            return sorted(keys, key=lambda k: (sum(k), k))
+        return sorted(keys, key=lambda k: (k.bit_count(), _mask_ids(k)))
 
     def above(keys) -> list:
         # a context above another has a larger total resp. size: it sorts later
-        fields = (enumerate(k) if separable else ((r, 1) for r in k) for k in keys)
-        codes = [sum(c << (r * width) for r, c in f) for f in fields]
-        tops = [c | guard for c in codes]
+        if separable:
+            codes = [sum(c << (r * width) for r, c in enumerate(k)) for k in keys]
+            tops = [c | guard for c in codes]
+            return [
+                [b for b in range(s + 1, len(codes)) if (tops[b] - c) & guard == guard]
+                for s, c in enumerate(codes)
+            ]
+        # a base set's mask is above s exactly when it holds every bit of s
         return [
-            [b for b in range(s + 1, len(codes)) if (tops[b] - c) & guard == guard]
-            for s, c in enumerate(codes)
+            [b for b in range(s + 1, len(keys)) if not k & ~keys[b]]
+            for s, k in enumerate(keys)
         ]
 
     def first_violation(margins, dominators):
@@ -734,7 +749,7 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     # monotonicity over deduplicated full profiles
     keys = ordered(eng.reachable(range(game.n)))
     try:
-        values = [eng.value(k) for k in keys]
+        values = [value(k) for k in keys]
         contexts_checked += len(keys)
         # v_s > v_b + t exactly when -v_s < -v_b - t
         hit = first_violation([-v for v in values], above(keys))
@@ -751,11 +766,12 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
         for i in range(game.n):
             ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
             contexts_checked += len(ckeys)
-            base = [eng.value(k) for k in ckeys]
+            base = [value(k) for k in ckeys]
             acts = game.action_sets[i][1:]  # the empty action sorts first
+            adds = acts if separable else eng.masks[i][1:]
             dominators = above(ckeys) if acts else []
-            for act in acts:
-                margins = [eng.value(eng.join(k, act)) - v for k, v in zip(ckeys, base)]
+            for act, add in zip(acts, adds):
+                margins = [value(join(k, add)) - v for k, v in zip(ckeys, base)]
                 hit = first_violation(margins, dominators)
                 if hit:
                     s, b = hit
@@ -776,7 +792,12 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
 def _describe_key(key, separable: bool):
     if separable:
         return {"counts": list(key)}
-    return {"base_set": sorted(key)}
+    return {"base_set": _mask_ids(key)}
+
+
+def _mask_ids(mask: int) -> list:
+    """The resource ids of a base-set bit mask, in increasing order."""
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
 
 def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugReport:

@@ -18,15 +18,18 @@ an uncached per-step update with ``random.Random(seed)`` would draw:
   its action costs only its draws. A distribution depends on the agent's
   observed context alone: nothing for an agent that sees nobody (blind and
   isolated agents), else the counts of the visible agents at the resources
-  its actions touch (separable welfare) or the base set they form
-  (tabulated welfare). A move that changes an agent's observed context voids
-  its distribution, which is then looked up in a per-call cache keyed by
-  the agent and that context, so one softmax is built per context visited;
+  its actions touch (separable welfare) or the bit mask of the base set
+  they form (tabulated welfare), read off two masks kept move by move: the
+  visible agents' base set and the resources one of them alone selects. A
+  move that changes an agent's observed context voids its distribution,
+  which is then looked up in a cache keyed by the agent and that context;
+  a sweep's trials at one temperature share the cache, so one softmax is
+  built per context a temperature visits;
 - the welfare is updated in place when the agent switches: separable
   welfare by the changes of the curves at the old action's resources, then
-  the new action's, tabulated welfare by a read, keyed by the base set's
-  bit mask, whenever a count crosses zero. The minimum, maximum and trace
-  are taken at the switches too.
+  the new action's, tabulated welfare by a read of the kernel's table memo,
+  keyed by the base set's bit mask, whenever a count crosses zero. The
+  minimum, maximum and trace are taken at the switches too.
 
 :func:`random_play_baseline` runs the same loop with a uniform action draw.
 """
@@ -191,7 +194,7 @@ def lll_run(
     the trace, when kept, covers all steps.
     """
     _check_temperature(T)
-    return _play(game, T, steps, seed, a0, burn_in, keep_trace)
+    return _play(game, T, steps, seed, a0, burn_in, keep_trace, {})
 
 
 def _play(
@@ -202,9 +205,12 @@ def _play(
     a0: Optional[JointAction],
     burn_in: int,
     keep_trace: bool,
+    cache: dict,
 ) -> LllRunResult:
     """The loop behind :func:`lll_run`; with ``T`` None the sampled agent
-    picks its action uniformly instead (:func:`random_play_baseline`)."""
+    picks its action uniformly instead (:func:`random_play_baseline`).
+    ``cache`` holds the distributions by (agent, observed context), so runs
+    of one game at one temperature may share it."""
     if steps < 1:
         raise ValueError("need at least one step")
     if not 0 <= burn_in < steps:
@@ -225,39 +231,46 @@ def _play(
         for r in act:
             counts[r] += 1
             vis[r] += visible[i]
-    mask = sum([1 << r for r in every if counts[r]])  # the base set's bits
-    known = {}  # table welfare by base-set mask
+    # tabulated welfare, as bit masks: the base set (mask), the visible
+    # agents' base set (vmask) and the resources one visible agent alone
+    # selects (vones); the kernel's memo holds the table by mask
+    mask = sum([1 << r for r in every if counts[r]])
+    vmask = sum([1 << r for r in every if vis[r]])
+    vones = sum([1 << r for r in every if vis[r] == 1])
+    known, masks = (None, None) if separable else (eng.known, eng.masks)
     # None if a0's base set has no table entry: the error is raised only if
     # step 0 keeps that base set, as a plain per-step update would
     w = value(counts) if separable else eng.table.get(frozenset([r for r in every if counts[r]]))
     # Only normal agents observe others: every visible agent but themselves.
     # An observer's softmax depends on the counts it sees at the resources
     # its actions touch, or on the base set it sees for tabulated welfare;
-    # watch[r] lists the observers a move on resource r can affect.
+    # watch[r] lists the observers a move on resource r can affect. Every
+    # observer of a table sees the one visible base set, so a visible
+    # agent's move voids them all.
     touched = [tuple(sorted(set().union(*res))) for res in act_res]
     observers = [a for a in range(eng.n) if sees[a]]
-    watch = [[a for a in observers if not separable or r in touched[a]] for r in every]
+    watch = [[a for a in observers if r in touched[a]] for r in every]
     cur = [None] * eng.n  # each agent's distribution at its observed context
-    cache = {}  # distributions by (agent, observed context)
+    empty, read = (eng.empty, eng.utilities) if separable else (0, eng.utilities_mask)
 
     def distribution(i):
         # i's distribution at its observed context: the running sums of its
         # probabilities but the last, so bisect_right over them is the
         # inverse-CDF draw, and an r past them all draws the last action
-        own = eng.actions[i][idxs[i]]
         if not sees[i]:
-            key = ctx = eng.empty
+            key = ctx = empty
         elif separable:
+            own = eng.actions[i][idxs[i]]
             key, ctx = tuple([vis[r] - (r in own) for r in touched[i]]), None
-        else:
-            key = ctx = frozenset([r for r in every if vis[r] > (r in own)])
+        else:  # the visible base set without what i alone selects
+            key = ctx = vmask & ~(masks[i][idxs[i]] & vones)
         cum = cache.get((i, key))
         if cum is None:
             if len(cache) >= _CACHE_LIMIT:
                 cache.clear()
             if ctx is None:
                 ctx = [vis[r] - (r in own) for r in every]
-            probs = _softmax(eng.utilities(i, ctx), T)
+            probs = _softmax(read(i, ctx), T)
             cum = cache[i, key] = list(itertools.accumulate(probs[:-1]))
         return cum
 
@@ -301,31 +314,51 @@ def _play(
                         for r in res_new:
                             c = counts[r] = counts[r] + 1
                             w += curves[r][c] - curves[r][c - 1]
+                        if visible[i]:
+                            keep = cur[i]  # i does not observe itself
+                            for r in res_old:
+                                vis[r] -= 1
+                                for a in watch[r]:
+                                    cur[a] = None
+                            for r in res_new:
+                                vis[r] += 1
+                                for a in watch[r]:
+                                    cur[a] = None
+                            cur[i] = keep
                     else:
-                        # the base set changes only where a count crosses zero
-                        for r in res_new:
-                            if not counts[r]:
-                                mask ^= 1 << r
-                            counts[r] += 1
+                        # the base set changes where a count crosses zero; a
+                        # visible agent's move changes vmask where its visible
+                        # count crosses zero and vones where it crosses one
+                        v = visible[i]
                         for r in res_old:
-                            counts[r] -= 1
-                            if not counts[r]:
+                            c = counts[r] = counts[r] - 1
+                            if not c:
                                 mask ^= 1 << r
+                            if v:
+                                c = vis[r] = vis[r] - 1
+                                if c < 2:  # 2 -> 1 sets r's vones bit, 1 -> 0 clears both
+                                    vones ^= 1 << r
+                                    if not c:
+                                        vmask ^= 1 << r
+                        for r in res_new:
+                            c = counts[r] = counts[r] + 1
+                            if c == 1:
+                                mask ^= 1 << r
+                            if v:
+                                c = vis[r] = vis[r] + 1
+                                if c < 3:  # 0 -> 1 sets both, 1 -> 2 clears r's vones bit
+                                    vones ^= 1 << r
+                                    if c == 1:
+                                        vmask ^= 1 << r
+                        if v:
+                            keep = cur[i]  # i does not observe itself
+                            for a in observers:
+                                cur[a] = None
+                            cur[i] = keep
                         w = known.get(mask)
                         if w is None:
-                            w = known[mask] = value(frozenset([r for r in every if counts[r]]))
+                            w = eng.value_mask(mask)
                     ww = w * w
-                    if visible[i]:
-                        keep = cur[i]  # i does not observe itself
-                        for r in res_old:
-                            vis[r] -= 1
-                            for a in watch[r]:
-                                cur[a] = None
-                        for r in res_new:
-                            vis[r] += 1
-                            for a in watch[r]:
-                                cur[a] = None
-                        cur[i] = keep
                     idxs[i] = j
                     if changes is not None:
                         changes.append((step, w))
@@ -335,7 +368,7 @@ def _play(
         if w is not None:
             raise
     if w is None:  # step 0 kept a0's base set, which has no table entry
-        value(frozenset([r for r in every if counts[r]]))
+        eng.value_mask(mask)
     w_min, w_max = min(w_min, w), max(w_max, w)  # the last welfare is kept
     trace = None
     if changes is not None:
@@ -387,7 +420,9 @@ def temperature_sweep(
 ) -> SweepResult:
     """Run ``trials`` trajectories per temperature and collect per-trial rows,
     ordered by (temperature index, trial); each trial runs from its own
-    :func:`sub_seed`, so equal inputs give byte-identical CSVs.
+    :func:`sub_seed`, so equal inputs give byte-identical CSVs. A
+    temperature's trials share their sampling distributions, and each row
+    is the :func:`lll_run` row of its sub-seed.
     """
     temps = [float(t) for t in temperatures]
     if not temps:
@@ -396,15 +431,17 @@ def temperature_sweep(
         _check_temperature(t)
     if trials < 1:
         raise ValueError("need at least one trial")
-    rows = tuple(
-        lll_run(game, T, steps, sub_seed(seed, ti, tr), a0=a0, burn_in=burn_in).row(tr)
-        for ti, T in enumerate(temps)
-        for tr in range(trials)
-    )
-    return SweepResult(rows=rows)
+    rows = []
+    for ti, T in enumerate(temps):
+        cache = {}  # a temperature's trials share its distributions
+        rows += [
+            _play(game, T, steps, sub_seed(seed, ti, tr), a0, burn_in, False, cache).row(tr)
+            for tr in range(trials)
+        ]
+    return SweepResult(rows=tuple(rows))
 
 
 def random_play_baseline(game: GameInstance, steps: int, seed: int) -> float:
     """Mean welfare when the chosen agent resamples uniformly instead of by
     softmax; disabled agents never update."""
-    return _play(game, None, steps, seed, None, 0, False).mean_welfare
+    return _play(game, None, steps, seed, None, 0, False, {}).mean_welfare

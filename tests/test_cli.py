@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from anarchy_lab import instances as inst
 from anarchy_lab.cli import main
 from test_equilibrium import coverage_game, overflowing_pair
 from test_instances import reference_serialize
+from test_learning import reference_walk, sim_table_twin, softmax_choice
 
 
 def run(capsys, *argv):
@@ -926,6 +929,32 @@ class TestLll:
         assert err.startswith("error: temperature")
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("where", ["mid-run", "first step"])
+    def test_a_missing_table_entry_exits_two_where_the_reference_raises(
+        self, tmp_path, capsys, where
+    ):
+        # the sim game's welfare as a table with holes: the sets of seven to
+        # ten resources are met only mid-run, a missing single resource
+        # already in the first distribution read
+        game = sim_table_twin()
+        m = game.num_resources
+        table = dict(game.welfare.table)
+        for s in list(table):
+            if (6 < len(s) < m) if where == "mid-run" else len(s) == 1:
+                del table[s]
+        game = dataclasses.replace(game, welfare=al.TabulatedWelfare.from_mapping(table, m))
+        inst = tmp_path / "holed.json"
+        inst.write_text(al.serialize(game))
+        walk = reference_walk(game, al.sub_seed(5, 0, 0), softmax_choice(game, 1.0))
+        done = 0
+        with pytest.raises(al.ModelIncompleteError) as want:
+            for _ in itertools.islice(walk, 2000):
+                done += 1
+        assert (done > 10) if where == "mid-run" else done == 0
+        argv = ("lll", "--instance", str(inst), "--temps", "1", "--steps", "2000",
+                "--trials", "2", "--seed", "5")
+        assert run(capsys, *argv) == (2, "", f"error: {want.value}\n")
 
     def test_workers_option_is_gone(self, tmp_path, capsys):
         inst = tmp_path / "sim.json"

@@ -364,18 +364,19 @@ class TestEnumerate:
         # a table's leaf test reads only what the agent observes, so the
         # kernel's utilities are read once per normal agent and observed
         # base set the search meets, for all its actions at once, and once
-        # per blind or isolated agent for its candidates
+        # per blind or isolated agent for its candidates; a table's
+        # utilities are all read by base-set mask
         calls = []
-        utilities = equilibrium._Engine.utilities
+        utilities = equilibrium._Engine.utilities_mask
 
-        def spy(eng, i, ctx):
-            calls.append((i, ctx))
-            return utilities(eng, i, ctx)
+        def spy(eng, i, seen):
+            calls.append((i, frozenset(r for r in range(eng.m) if seen >> r & 1)))
+            return utilities(eng, i, seen)
 
         def swap(a, i, act):
             return a[:i] + (act,) + a[i + 1 :]
 
-        monkeypatch.setattr(equilibrium._Engine, "utilities", spy)
+        monkeypatch.setattr(equilibrium._Engine, "utilities_mask", spy)
         B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
         mixes = ([], [B], [I, B], [D, I], [B, D, I])
         shared = 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility
-from anarchy_lab import learning
+from anarchy_lab import game as game_module, learning
 from anarchy_lab.learning import _softmax
 
 
@@ -402,6 +402,18 @@ def coverage_game(rng, labels, holes=0.0):
     )
 
 
+def sim_table_twin():
+    """sim(10, 9, 0.05) with its step welfare written out as a table."""
+    sep = al.gen_sim_game(10, 9, 0.05)
+    values = [curve[1] for curve in sep.welfare.curves]
+    table = {
+        frozenset(s): sum(values[r] for r in s)
+        for size in range(len(values) + 1)
+        for s in itertools.combinations(range(len(values)), size)
+    }
+    return dataclasses.replace(sep, welfare=al.TabulatedWelfare.from_mapping(table, len(values)))
+
+
 def random_start(game, rng):
     """A random playable profile: disabled agents opted out."""
     return tuple(
@@ -470,33 +482,38 @@ class TestCachedRunner:
     def test_builds_one_softmax_per_observed_context(self, monkeypatch):
         # the simulation game's welfare written out as a table: at a high
         # temperature the normal agent observes many base sets, and each
-        # (agent, observed context) pair costs exactly one softmax
-        sep = al.gen_sim_game(10, 9, 0.05)
-        values = [curve[1] for curve in sep.welfare.curves]
-        table = {
-            frozenset(s): sum(values[r] for r in s)
-            for size in range(len(values) + 1)
-            for s in itertools.combinations(range(len(values)), size)
-        }
-        game = dataclasses.replace(
-            sep, welfare=al.TabulatedWelfare.from_mapping(table, len(values))
-        )
-        calls, contexts = [], set()
-        eng = game._engine
-        utilities = eng.utilities
+        # (agent, observed base set) pair a run meets costs exactly one
+        # softmax; a sweep's trials share them, so two trials cost one per
+        # pair met in either. The pairs come from the per-step reference.
+        game = sim_table_twin()
+
+        def met(seed):
+            contexts = set()
+
+            def choose(rng, i, current):
+                others = current[:i] + (al.EMPTY_ACTION,) + current[i + 1 :]
+                contexts.add((i, al.base_set(al.masked_profile(game, i, others))))
+                return softmax_choice(game, 10.0)(rng, i, current)
+
+            for _ in itertools.islice(reference_walk(game, seed, choose), 10_000):
+                pass
+            return contexts
+
+        single = met(1)
+        trials = [met(learning.sub_seed(1, 0, tr)) for tr in range(2)]
+        calls = []
 
         def counting_softmax(utilities, T):
             calls.append(1)
             return _softmax(utilities, T)
 
-        def recording_utilities(i, ctx):
-            contexts.add((i, ctx))
-            return utilities(i, ctx)
-
         monkeypatch.setattr(learning, "_softmax", counting_softmax)
-        monkeypatch.setattr(eng, "utilities", recording_utilities)
         al.lll_run(game, T=10.0, steps=10_000, seed=1)
-        assert len(calls) == len(contexts) > 100
+        assert len(calls) == len(single) > 100
+        calls.clear()
+        al.temperature_sweep(game, [10.0], steps=10_000, trials=2, seed=1)
+        both = trials[0] | trials[1]
+        assert len(calls) == len(both) > max(map(len, trials))
 
     @pytest.mark.parametrize("updatable", [1, 2, 3, 8, 9, 17])
     def test_equals_the_reference_for_any_number_of_updatable_agents(self, updatable):
@@ -563,3 +580,68 @@ class TestCachedRunner:
                 seed = rng.randrange(2**32)
                 want = reference_baseline(game, 500, seed)
                 assert al.random_play_baseline(game, 500, seed) == want
+
+
+def sweep_outcome(run):
+    """The rows ``run()`` returns, or the type and message of what it raised."""
+    try:
+        return tuple(run())
+    except al.ModelIncompleteError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepSharesDistributions:
+    # a temperature's trials share one cache of distributions, which a
+    # distribution's being a function of (game, T, agent, context) allows
+
+    @pytest.mark.parametrize("limit", [learning._CACHE_LIMIT, 1])
+    def test_rows_equal_independent_runs(self, monkeypatch, limit):
+        monkeypatch.setattr(learning, "_CACHE_LIMIT", limit)
+        rng = random.Random(7)
+        B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
+        games = [
+            dataclasses.replace(al.gen_random_separable(len(labels), 5, 4, seed=s),
+                                compromise=tuple(labels))
+            for s, labels in enumerate([[Compromise.NORMAL, B, B], [I, Compromise.NORMAL, D, B],
+                                        [D, Compromise.NORMAL, I, Compromise.NORMAL]])
+        ]
+        games.append(coverage_game(rng, [Compromise.NORMAL, B, I, Compromise.NORMAL]))
+        games += [coverage_game(rng, [Compromise.NORMAL, B, Compromise.NORMAL, D], holes=0.2)
+                  for _ in range(6)]
+        temps, raised, holed = [0.02, 0.5, 8.0], 0, 0
+        for game in games:
+            a0 = random_start(game, rng)
+            seed = rng.randrange(2**32)
+
+            def independent():
+                for ti, T in enumerate(temps):
+                    for tr in range(3):
+                        run = al.lll_run(game, T, 300, learning.sub_seed(seed, ti, tr),
+                                         a0=a0, burn_in=20)
+                        yield run.row(tr)
+
+            got = sweep_outcome(
+                lambda: al.temperature_sweep(game, temps, 300, 3, seed, a0=a0, burn_in=20).rows
+            )
+            assert got == sweep_outcome(independent), game
+            raised += got[0] is al.ModelIncompleteError
+            holed += len(game.welfare.table) < 2 ** game.num_resources if not game.separable else 0
+        assert raised and holed > raised  # holed tables that raise and that run through
+
+    def test_reads_each_table_entry_through_a_frozenset_once(self, monkeypatch):
+        # the kernel memoises the table by base-set mask, so however many
+        # runs, temperatures and observers, an entry costs one value() read
+        reads = []
+        value = game_module._Engine.value
+
+        def spy(eng, ctx):
+            reads.append(ctx)
+            return value(eng, ctx)
+
+        monkeypatch.setattr(game_module._Engine, "value", spy)
+        rng = random.Random(3)
+        for game in (sim_table_twin(), coverage_game(rng, [Compromise.NORMAL] * 3 + [
+                Compromise.BLIND, Compromise.ISOLATED])):
+            reads.clear()
+            al.temperature_sweep(game, [0.1, 10.0], steps=5000, trials=2, seed=3)
+            assert len(reads) == len(set(reads)) > 4

@@ -73,7 +73,6 @@ from .learning import (
     SweepRow,
     action_distribution,
     lll_run,
-    random_play_baseline,
     sub_seed,
     temperature_sweep,
 )

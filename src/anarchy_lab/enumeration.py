@@ -217,12 +217,12 @@ def _search(game: GameInstance, classes, cap: int, visit):
             seen = vmask[d] & ~(eng.masks[u][idxs[u]] & vones[d])
             row = passes[u].get(seen)
             if row is None:
-                utils = eng.utilities_mask(u, seen)
+                utils = eng.utilities(u, seen)
                 row = passes[u][seen] = [_best_responds(utils, y) for y in range(len(utils))]
             if not row[idxs[u]]:
                 break
         else:
-            visit(idxs, weight, eng.value_mask(fmask[d]))
+            visit(idxs, weight, eng.value(fmask[d]))
     return nodes, pruned
 
 

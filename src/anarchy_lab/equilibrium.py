@@ -20,7 +20,6 @@ agents' equilibrium actions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -277,7 +276,7 @@ def _best_profile(eng: _Engine, choices, cap: int = DEFAULT_ENUM_CAP):
                     gain += curves[r][counts[r]]
                     counts[r] = 0
                 if i == table_at:
-                    gain = eng.value(frozenset(itertools.compress(range(m), counts)))
+                    gain = eng.value(sum([1 << r for r in range(m) if counts[r]]))
                     counts = zero
                 row.append((j, gain, tuple(counts)))
             layer[state] = row

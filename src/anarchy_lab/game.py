@@ -14,9 +14,10 @@ here is a pure function of its inputs.
 
 Each game builds one private evaluation kernel (``_Engine``) on first
 use. It is the single place that turns a profile into a *context*
-(selection counts, or the base set for tabulated welfare), a context into a
-welfare value, and a context into an agent's candidate utilities; the fast
-paths in ``equilibrium`` and ``learning`` all evaluate through it. It owns
+(selection counts, or the base set's bit mask for tabulated welfare), a
+context into a welfare value, and a context into an agent's candidate
+utilities; the fast paths in ``equilibrium`` and ``learning`` all evaluate
+through it, and read a table only through its memo by mask. It owns
 the per-resource utility terms of separable welfare, which its utilities,
 the enumeration's bounds and :func:`check_vug`'s equal shares read, and
 the per-resource certificate that settles the validators for separable
@@ -424,12 +425,11 @@ class _Engine:
     central object: an agent's utility on the actions it observes.
 
     A *context* is what the welfare depends on: per-resource selection
-    counts for separable welfare, the base set for tabulated welfare. The
-    table walks also name a base set by its bit mask (bit r for resource
-    r); :meth:`value_mask` reads the table through one memo by mask, filled
-    lazily as entries are first read, so each entry costs one frozenset per
-    game. The kernel holds no reference to its game, so a dropped game is
-    freed by reference counting alone.
+    counts for separable welfare, the base set for tabulated welfare, as
+    its bit mask (bit r for resource r). :meth:`value` is the one table
+    reader: a memo by mask, filled lazily as entries are first read, so
+    each entry costs one frozenset per game. The kernel holds no reference
+    to its game, so a dropped game is freed by reference counting alone.
     """
 
     def __init__(self, game: GameInstance):
@@ -467,9 +467,9 @@ class _Engine:
             self.terms = [kinds[mc] for mc in self.is_mc]
         else:
             self.table = game.welfare.table
-            self.empty = EMPTY_ACTION
+            self.empty = 0
             # masks[i][j]: the resources of agent i's action j, bit r for r
-            self.masks = [[sum(1 << r for r in a) for a in acts] for acts in self.actions]
+            self.masks = [[_mask(a) for a in acts] for acts in self.actions]
             self.known = {}  # table entries read so far, by base-set mask
 
     def context(self, a, agents=None):
@@ -478,7 +478,7 @@ class _Engine:
         ``context(a, sees[i])``, the empty context if i sees nobody."""
         acts = a if agents is None else [a[j] for j in agents]
         if not self.separable:
-            return base_set(acts)
+            return _mask(base_set(acts))
         counts = [0] * self.m
         for act in acts:
             for r in act:
@@ -487,9 +487,9 @@ class _Engine:
 
     def join(self, ctx, act: Action):
         """The context ``ctx`` with one more selection of each resource in
-        ``act``; hashable (a count tuple or a base set)."""
+        ``act``; hashable (a count tuple or a base-set mask)."""
         if not self.separable:
-            return ctx | act
+            return ctx | _mask(act)
         counts = list(ctx)
         for r in act:
             counts[r] += 1
@@ -497,17 +497,14 @@ class _Engine:
 
     def reachable(self, agents) -> list:
         """Every distinct context the actions of ``agents`` can form, in the
-        order first reached, a table's as base-set bit masks. SizeCapError
-        once they form L contexts with (n + 1)·L·(L + A) past 50,000,000, A
-        counting every agent's actions: the submodularity scan takes about
-        L·A joins to build, and L² pairs to compare, for the full layer and
-        each agent's opponents' layer, none larger than the full one since
-        every agent can opt out."""
+        order first reached. SizeCapError once they form L contexts with
+        (n + 1)·L·(L + A) past 50,000,000, A counting every agent's actions:
+        the submodularity scan takes about L·A joins to build, and L² pairs
+        to compare, for the full layer and each agent's opponents' layer,
+        none larger than the full one since every agent can opt out."""
         actions = sum(map(len, self.actions))
-        if self.separable:
-            layer, join, acts = {self.empty: None}, self.join, self.actions
-        else:
-            layer, join, acts = {0: None}, int.__or__, self.masks
+        layer = {self.empty: None}
+        join, acts = (self.join, self.actions) if self.separable else (int.__or__, self.masks)
         for j in agents:
             layer = dict.fromkeys(join(ctx, act) for ctx in layer for act in acts[j])
             if (self.n + 1) * len(layer) * (len(layer) + actions) > 50_000_000:
@@ -517,33 +514,32 @@ class _Engine:
 
     def value(self, ctx) -> float:
         """The welfare of a context: the sum of each curve at its count, or
-        the table entry of the base set (ModelIncompleteError if missing)."""
+        the table entry of the base set (ModelIncompleteError if missing,
+        which is never memoised)."""
         if self.separable:
             curves = self.curves
             total = 0.0
             for r in range(self.m):
                 total += curves[r][ctx[r]]
             return total
-        try:
-            return self.table[ctx]
-        except KeyError:
-            raise ModelIncompleteError(
-                f"no welfare table entry for base set {sorted(ctx)}"
-            ) from None
-
-    def value_mask(self, mask: int) -> float:
-        """:meth:`value` of the base set whose bit mask is ``mask``; a
-        missing entry raises in :meth:`value` and is not memoised."""
-        v = self.known.get(mask)
+        v = self.known.get(ctx)
         if v is None:
-            v = self.known[mask] = self.value(frozenset(_mask_ids(mask)))
+            ids = _mask_ids(ctx)
+            try:
+                v = self.known[ctx] = self.table[frozenset(ids)]
+            except KeyError:
+                raise ModelIncompleteError(
+                    f"no welfare table entry for base set {ids}"
+                ) from None
         return v
 
     def utilities(self, i: int, ctx) -> list:
         """Agent i's designed utility for each of its actions, played on top
-        of the context ``ctx``, which must exclude agent i."""
+        of the context ``ctx``, which must exclude agent i; a table's
+        entries are read in action order after the base's."""
         if not self.separable:
-            return self.utilities_mask(i, sum([1 << r for r in ctx]))
+            value, base = self.value, self.value(ctx)
+            return [value(ctx | b) - base for b in self.masks[i]]
         terms = self.terms[i]
         out = []
         for res in self.act_res[i]:
@@ -552,12 +548,6 @@ class _Engine:
                 u += terms[r][ctx[r]]
             out.append(u)
         return out
-
-    def utilities_mask(self, i: int, seen: int) -> list:
-        """:meth:`utilities` of a table on the base set whose bit mask is
-        ``seen``; the entries are read in action order after the base's."""
-        value, base = self.value_mask, self.value_mask(seen)
-        return [value(seen | b) - base for b in self.masks[i]]
 
     def profile(self, idxs) -> JointAction:
         """The profile with agent j playing its action number ``idxs[j]``."""
@@ -688,21 +678,20 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     """The exhaustive scan behind :func:`check_submodular`.
 
     Contexts are deduplicated by what the welfare actually depends on
-    (per-resource counts for separable welfare, base sets for tabulated, as
-    bit masks read through :meth:`_Engine.value_mask`), and compared by
-    count dominance resp. base-set inclusion. Each context gets
-    the list of contexts strictly above it, built once for the full profiles
-    and once per agent for all its actions, and walked pair by pair, so the
-    report names the first violating pair and counts the pairs compared. A
-    table with no entry for a base set the agents can form, ∅ included,
-    gives a ``table-missing`` report. The scan visits contexts, not
-    profiles, so the joint space's size does not bound it; it refuses, in
-    :meth:`_Engine.reachable`, once its own work (the contexts of n + 1
-    layers, their joins and pairs) would pass its cap.
+    (per-resource counts for separable welfare, base-set bit masks for
+    tabulated), and compared by count dominance resp. base-set inclusion.
+    Each context gets the list of contexts strictly above it, built once
+    for the full profiles and once per agent for all its actions, and
+    walked pair by pair, so the report names the first violating pair and
+    counts the pairs compared. A table with no entry for a base set the
+    agents can form, ∅ included, gives a ``table-missing`` report. The scan
+    visits contexts, not profiles, so the joint space's size does not bound
+    it; it refuses, in :meth:`_Engine.reachable`, once its own work (the
+    contexts of n + 1 layers, their joins and pairs) would pass its cap.
     """
     eng = game._engine
-    separable = game.separable
-    value, join = (eng.value, eng.join) if separable else (eng.value_mask, int.__or__)
+    separable, value = game.separable, eng.value
+    join = eng.join if separable else int.__or__
     contexts_checked = pairs_checked = 0
 
     def failed(kind, message, witness=None) -> SubmodularityReport:
@@ -795,6 +784,11 @@ def _describe_key(key, separable: bool):
     return {"base_set": _mask_ids(key)}
 
 
+def _mask(resources) -> int:
+    """The bit mask of a set of resource ids."""
+    return sum([1 << r for r in resources])
+
+
 def _mask_ids(mask: int) -> list:
     """The resource ids of a base-set bit mask, in increasing order."""
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
@@ -834,7 +828,8 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     report ``welfare_report``; the caller checks the profile cap."""
     eng = game._engine
     n, separable, act_res = eng.n, eng.separable, eng.act_res
-    value, own = (eng.value, None) if separable else (eng.value_mask, eng.masks)
+    value, own = eng.value, None if separable else eng.masks
+    get = None if separable else eng.known.get  # a table's memo, value() on a miss
     cond2_ok = cond3_ok = cond3_tight = True
     failure: Optional[CheckFinding] = None
     profiles = 0
@@ -861,14 +856,18 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
         mask, ones = bases[n], solos[n]
         # one W(a) per profile and at most one opt-out welfare per agent
         profiles += 1
-        w = value(ctx if separable else mask)
+        w = value(ctx) if separable else get(mask)
+        if w is None:
+            w = value(mask)
         total = 0.0
         for i in range(n):
             marginal = None
             if utility_fn is not None:
                 u = utility_fn(game, i, a)
             elif not separable:  # a table's utilities are marginal contributions
-                u = marginal = w - value(mask & ~(own[i][idxs[i]] & ones))
+                out = mask & ~(own[i][idxs[i]] & ones)
+                v = get(out)
+                u = marginal = w - (value(out) if v is None else v)
             elif eng.is_mc[i]:
                 u = marginal = w - opt_out(i)
             else:  # equal share, summed in sorted resource order

@@ -1,5 +1,4 @@
-"""Log-linear learning over effective utilities, temperature sweeps, and a
-uniform-play baseline.
+"""Log-linear learning over effective utilities, and temperature sweeps.
 
 One uniformly chosen non-disabled agent updates per step, resampling its
 action from a softmax (at temperature T) of its effective utility with all
@@ -30,8 +29,6 @@ an uncached per-step update with ``random.Random(seed)`` would draw:
   the new action's, tabulated welfare by a read of the kernel's table memo,
   keyed by the base set's bit mask, whenever a count crosses zero. The
   minimum, maximum and trace are taken at the switches too.
-
-:func:`random_play_baseline` runs the same loop with a uniform action draw.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from .game import (
     Compromise,
     GameInstance,
     JointAction,
+    ModelIncompleteError,
     empty_profile,
     validate_joint_action,
 )
@@ -58,12 +56,12 @@ __all__ = [
     "action_distribution",
     "lll_run",
     "temperature_sweep",
-    "random_play_baseline",
     "sub_seed",
 ]
 
-# entries kept by one run's cache of sampling distributions before it is
-# emptied; a refill draws the same numbers, so this bounds memory only
+# entries kept by a cache of sampling distributions, one run's or a sweep
+# temperature's, before it is emptied; a refill draws the same numbers, so
+# this bounds memory only
 _CACHE_LIMIT = 1 << 16
 
 
@@ -199,7 +197,7 @@ def lll_run(
 
 def _play(
     game: GameInstance,
-    T: Optional[float],
+    T: float,
     steps: int,
     seed: int,
     a0: Optional[JointAction],
@@ -207,10 +205,9 @@ def _play(
     keep_trace: bool,
     cache: dict,
 ) -> LllRunResult:
-    """The loop behind :func:`lll_run`; with ``T`` None the sampled agent
-    picks its action uniformly instead (:func:`random_play_baseline`).
-    ``cache`` holds the distributions by (agent, observed context), so runs
-    of one game at one temperature may share it."""
+    """The loop behind :func:`lll_run`; ``cache`` holds the distributions by
+    (agent, observed context), so runs of one game at one temperature may
+    share it."""
     if steps < 1:
         raise ValueError("need at least one step")
     if not 0 <= burn_in < steps:
@@ -240,7 +237,10 @@ def _play(
     known, masks = (None, None) if separable else (eng.known, eng.masks)
     # None if a0's base set has no table entry: the error is raised only if
     # step 0 keeps that base set, as a plain per-step update would
-    w = value(counts) if separable else eng.table.get(frozenset([r for r in every if counts[r]]))
+    try:
+        w = value(counts if separable else mask)
+    except ModelIncompleteError:
+        w = None
     # Only normal agents observe others: every visible agent but themselves.
     # An observer's softmax depends on the counts it sees at the resources
     # its actions touch, or on the base set it sees for tabulated welfare;
@@ -251,14 +251,13 @@ def _play(
     observers = [a for a in range(eng.n) if sees[a]]
     watch = [[a for a in observers if r in touched[a]] for r in every]
     cur = [None] * eng.n  # each agent's distribution at its observed context
-    empty, read = (eng.empty, eng.utilities) if separable else (0, eng.utilities_mask)
 
     def distribution(i):
         # i's distribution at its observed context: the running sums of its
         # probabilities but the last, so bisect_right over them is the
         # inverse-CDF draw, and an r past them all draws the last action
         if not sees[i]:
-            key = ctx = empty
+            key = ctx = eng.empty
         elif separable:
             own = eng.actions[i][idxs[i]]
             key, ctx = tuple([vis[r] - (r in own) for r in touched[i]]), None
@@ -270,12 +269,12 @@ def _play(
                 cache.clear()
             if ctx is None:
                 ctx = [vis[r] - (r in own) for r in every]
-            probs = _softmax(read(i, ctx), T)
+            probs = _softmax(eng.utilities(i, ctx), T)
             cum = cache[i, key] = list(itertools.accumulate(probs[:-1]))
         return cum
 
     rng = random.Random(seed)
-    getrandbits, rand, randrange = rng.getrandbits, rng.random, rng.randrange
+    getrandbits, rand = rng.getrandbits, rng.random
     bisect_right = bisect.bisect_right
     # rng.randrange(len(upd)) as CPython's Random._randbelow draws it: a
     # getrandbits value past the agent count is rejected
@@ -292,13 +291,10 @@ def _play(
                 while i is None:
                     i = pick[getrandbits(bits)]
                 old = idxs[i]
-                if T is None:
-                    j = randrange(len(act_res[i]))
-                else:
-                    cum = cur[i]
-                    if cum is None:
-                        cum = cur[i] = distribution(i)
-                    j = bisect_right(cum, rand())
+                cum = cur[i]
+                if cum is None:
+                    cum = cur[i] = distribution(i)
+                j = bisect_right(cum, rand())
                 if j != old:
                     if step > burn_in:  # kept steps held the old welfare
                         if w < w_min:
@@ -357,7 +353,7 @@ def _play(
                             cur[i] = keep
                         w = known.get(mask)
                         if w is None:
-                            w = eng.value_mask(mask)
+                            w = value(mask)
                     ww = w * w
                     idxs[i] = j
                     if changes is not None:
@@ -368,7 +364,7 @@ def _play(
         if w is not None:
             raise
     if w is None:  # step 0 kept a0's base set, which has no table entry
-        eng.value_mask(mask)
+        value(mask)
     w_min, w_max = min(w_min, w), max(w_max, w)  # the last welfare is kept
     trace = None
     if changes is not None:
@@ -393,7 +389,7 @@ def _play(
 
 
 # ---------------------------------------------------------------------------
-# sweeps and baseline
+# sweeps
 
 
 def sub_seed(master: int, temp_index: int, trial_index: int) -> int:
@@ -439,9 +435,3 @@ def temperature_sweep(
             for tr in range(trials)
         ]
     return SweepResult(rows=tuple(rows))
-
-
-def random_play_baseline(game: GameInstance, steps: int, seed: int) -> float:
-    """Mean welfare when the chosen agent resamples uniformly instead of by
-    softmax; disabled agents never update."""
-    return _play(game, None, steps, seed, None, 0, False, {}).mean_welfare

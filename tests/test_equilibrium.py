@@ -365,9 +365,9 @@ class TestEnumerate:
         # kernel's utilities are read once per normal agent and observed
         # base set the search meets, for all its actions at once, and once
         # per blind or isolated agent for its candidates; a table's
-        # utilities are all read by base-set mask
+        # contexts are base-set masks
         calls = []
-        utilities = equilibrium._Engine.utilities_mask
+        utilities = equilibrium._Engine.utilities
 
         def spy(eng, i, seen):
             calls.append((i, frozenset(r for r in range(eng.m) if seen >> r & 1)))
@@ -376,7 +376,7 @@ class TestEnumerate:
         def swap(a, i, act):
             return a[:i] + (act,) + a[i + 1 :]
 
-        monkeypatch.setattr(equilibrium._Engine, "utilities_mask", spy)
+        monkeypatch.setattr(equilibrium._Engine, "utilities", spy)
         B, I, D = Compromise.BLIND, Compromise.ISOLATED, Compromise.DISABLED
         mixes = ([], [B], [I, B], [D, I], [B, D, I])
         shared = 0

@@ -76,6 +76,29 @@ class TestWelfareEval:
         with pytest.raises(al.ModelIncompleteError):
             al.welfare_eval(g, (frozenset({1}),))
 
+    def test_a_missing_entry_is_never_memoised(self):
+        # the kernel reads a table by base-set mask through a memo; a hole
+        # raises on every read and leaves the memo holding only real entries
+        table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0}
+        g = al.GameInstance(
+            welfare=al.TabulatedWelfare.from_mapping(table, 2),
+            action_sets=((frozenset({0}),), (frozenset({1}),)),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(Compromise.NORMAL,) * 2,
+        )
+        eng = g._engine
+        message = "no welfare table entry for base set [0, 1]"
+        for _ in range(2):
+            with pytest.raises(al.ModelIncompleteError) as got:
+                eng.value(0b11)
+            assert str(got.value) == message
+        assert eng.value(0b01) == 1.0 and eng.known == {0b01: 1.0}
+        for run in (al.check_vug, al.instance_poa):
+            with pytest.raises(al.ModelIncompleteError) as got:
+                run(g)
+            assert str(got.value) == message
+        assert eng.known == {0b00: 0.0, 0b01: 1.0, 0b10: 1.0}
+
     def test_dropped_table_is_collected(self):
         w = al.TabulatedWelfare.from_mapping({frozenset(): 0.0, frozenset({0}): 1.0}, 1)
         g = al.GameInstance(

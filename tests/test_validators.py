@@ -40,10 +40,18 @@ def full_table(num_resources, value_fn):
 def direct_scan_submodular(game):
     """Independent oracle for check_submodular: every ordered pair of
     distinct contexts, each dominance test made afresh by comparing the
-    contexts entry by entry, the margins recomputed for every action."""
+    contexts entry by entry, the margins recomputed for every action; a
+    table is read directly, by base set."""
     eng = game._engine
     separable = game.separable
     contexts = pairs = 0
+
+    def value(ctx):
+        if separable:
+            return eng.value(ctx)
+        if ctx not in game.welfare.table:
+            raise al.ModelIncompleteError(f"no welfare table entry for base set {sorted(ctx)}")
+        return game.welfare.table[ctx]
 
     def describe(ctx, separable):
         return {"counts": list(ctx)} if separable else {"base_set": sorted(ctx)}
@@ -77,7 +85,7 @@ def direct_scan_submodular(game):
 
     keys = reachable(range(game.n))
     try:
-        values = {k: eng.value(k) for k in keys}
+        values = {k: value(k) for k in keys}
         contexts += len(keys)
         for ks in keys:
             for kb in keys:
@@ -94,11 +102,11 @@ def direct_scan_submodular(game):
         for i in range(game.n):
             ckeys = reachable(j for j in range(game.n) if j != i)
             contexts += len(ckeys)
-            base_vals = {k: eng.value(k) for k in ckeys}
+            base_vals = {k: value(k) for k in ckeys}
             for act in game.action_sets[i]:
                 if not act:
                     continue
-                margins = {k: eng.value(join(k, act)) - base_vals[k] for k in ckeys}
+                margins = {k: value(join(k, act)) - base_vals[k] for k in ckeys}
                 for ks in ckeys:
                     for kb in ckeys:
                         if ks == kb or not compare(ks, kb):
@@ -662,28 +670,32 @@ class TestCheckVugSharedEvaluations:
         for utility in Utility
     ] + [coverage_game(3, 6, [B, I, D])], ids=[str(u) for u in Utility] + ["table"])
     def test_evaluates_the_welfare_once_per_profile_and_agent(self, monkeypatch, game):
-        calls = []
+        calls, lookups = [], []
+        value = game_module._Engine.value
 
-        def counting(read):
-            def spy(eng, ctx):
-                calls.append(1)
-                return read(eng, ctx)
+        def spy(eng, ctx):
+            calls.append(1)
+            return value(eng, ctx)
 
-            return spy
+        class Memo(dict):
+            def get(self, key, default=None):
+                lookups.append(1)
+                return dict.get(self, key, default)
 
-        # every welfare value, in both scans, is one kernel read: value() for
-        # separable welfare, value_mask() for a table (whose memo calls
-        # value() on an entry's first read)
-        read = "value" if game.separable else "value_mask"
-        monkeypatch.setattr(game_module._Engine, read,
-                            counting(getattr(game_module._Engine, read)))
-        game_module._scan_submodular(game)
-        in_submodular = len(calls)
+        # every welfare value of the walk is one kernel read: value() for
+        # separable welfare, a lookup in the kernel's memo for a table, which
+        # the submodularity scan has filled with every entry the walk reads
+        monkeypatch.setattr(game_module._Engine, "value", spy)
+        welfare = game_module._scan_submodular(game)
+        assert welfare.ok
+        if not game.separable:
+            game._engine.known = Memo(game._engine.known)
         calls.clear()
-        report = scan_vug(game)  # the submodularity scan, then the profile walk
+        report = game_module._scan_vug(game, None, welfare)
         assert report.ok
         # W(a) and the n opt-out values: 7 per profile for 6 agents
-        assert len(calls) - in_submodular == report.profiles_checked * (1 + game.n)
+        reads = report.profiles_checked * (1 + game.n)
+        assert (len(calls), len(lookups)) == ((reads, 0) if game.separable else (0, reads))
 
     @pytest.mark.parametrize("game", [
         al.gen_random_separable(n=5, max_resources=3, max_actions=3, seed=2),

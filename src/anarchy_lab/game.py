@@ -17,7 +17,7 @@ use. It is the single place that turns a profile into a *context*
 (selection counts, or the base set's bit mask for tabulated welfare), a
 context into a welfare value, and a context into an agent's candidate
 utilities; the fast paths in ``equilibrium`` and ``learning`` all evaluate
-through it, and read a table only through its memo by mask. It owns
+through it, and read a table as the welfare holds it, by mask. It owns
 the per-resource utility terms of separable welfare, which its utilities,
 the enumeration's bounds and :func:`check_vug`'s equal shares read, and
 the per-resource certificate that settles the validators for separable
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -131,30 +131,45 @@ class SeparableWelfare:
         return len(self.curves)
 
 
+class _Table(dict):
+    """A table's values by base-set bit mask, hashed by its entries (it never
+    changes once built); reading a missing mask raises ModelIncompleteError."""
+
+    def __missing__(self, mask):
+        raise ModelIncompleteError(f"no welfare table entry for base set {_mask_ids(mask)}")
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
 @dataclass(frozen=True)
 class TabulatedWelfare:
     """Tabulated welfare: an explicit value per base set of resources.
 
     Duplicate selections collapse: the welfare of a profile is the table
     value of the union of the selected actions. ``entries`` takes any
-    iterable of (base set, value) pairs and keeps them as a frozenset of
-    (frozenset, float) pairs, so instances hash and compare structurally
-    whatever order the pairs came in; a base set listed twice is a
-    ValidationError that names it.
+    iterable of (base set, value) pairs; ``table`` keeps each value by its
+    base set's bit mask (bit r for resource r), the form the kernel reads,
+    so instances hash and compare structurally whatever order the pairs
+    came in. An id outside ``range(num_resources)`` or a base set listed
+    twice is a ValidationError that names it.
     """
 
-    entries: frozenset  # {(frozenset, float), ...}
+    entries: InitVar[Iterable]
     num_resources: int
-    table: dict = field(init=False, repr=False, compare=False)  # base set -> value
+    table: dict = field(init=False, repr=False)  # base-set mask -> value
 
-    def __post_init__(self):
-        table = {}
-        for subset, value in self.entries:
-            subset = frozenset(subset)
-            if subset in table:
-                raise ValidationError(f"duplicate table entry for {sorted(subset)}")
-            table[subset] = float(value)
-        object.__setattr__(self, "entries", frozenset(table.items()))
+    def __post_init__(self, entries):
+        m, table = self.num_resources, _Table()
+        for subset, value in entries:
+            mask = 0
+            for r in subset:
+                if not (isinstance(r, int) and 0 <= r < m):  # checked before any shift
+                    raise ValidationError(f"table subset references unknown resource id {r}")
+                mask |= 1 << r
+            if mask in table:
+                raise ValidationError(f"duplicate table entry for {_mask_ids(mask)}")
+            table[mask] = float(value)
         object.__setattr__(self, "table", table)
 
     @staticmethod
@@ -214,25 +229,17 @@ class GameInstance:
             )
         w = self.welfare
         if isinstance(w, SeparableWelfare):
+            checked = set()  # a curve equal to one checked before passes too
             for r, curve in enumerate(w.curves):
-                _validate_curve(curve, r, n)
+                if tuple(curve) not in checked:
+                    _validate_curve(curve, r, n)
+                    checked.add(tuple(curve))
         elif isinstance(w, TabulatedWelfare):
-            for subset, value in w.entries:
-                for r in subset:
-                    if not (0 <= r < w.num_resources):
-                        raise ValidationError(
-                            f"table subset references unknown resource id {r}"
-                        )
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"table value for {sorted(subset)} is not finite"
-                    )
-                if value < 0:
-                    raise ValidationError(
-                        f"table value for {sorted(subset)} is negative"
-                    )
-            empty = w.table.get(EMPTY_ACTION, 0.0)
-            if empty != 0.0:
+            for mask, value in w.table.items():
+                if not 0 <= value < math.inf:
+                    what = "is negative" if math.isfinite(value) else "is not finite"
+                    raise ValidationError(f"table value for {_mask_ids(mask)} {what}")
+            if w.table.get(0, 0.0) != 0.0:
                 raise ValidationError("welfare is not normalized: W(empty) != 0")
         else:
             raise ValidationError(f"unknown welfare spec {type(w).__name__}")
@@ -426,10 +433,10 @@ class _Engine:
 
     A *context* is what the welfare depends on: per-resource selection
     counts for separable welfare, the base set for tabulated welfare, as
-    its bit mask (bit r for resource r). :meth:`value` is the one table
-    reader: a memo by mask, filled lazily as entries are first read, so
-    each entry costs one frozenset per game. The kernel holds no reference
-    to its game, so a dropped game is freed by reference counting alone.
+    its bit mask (bit r for resource r). ``table`` is the welfare's own
+    dict by mask, so reading an entry is one dict read, and a hole raises
+    ModelIncompleteError on every read. The kernel holds no reference to
+    its game, so a dropped game is freed by reference counting alone.
     """
 
     def __init__(self, game: GameInstance):
@@ -470,7 +477,6 @@ class _Engine:
             self.empty = 0
             # masks[i][j]: the resources of agent i's action j, bit r for r
             self.masks = [[_mask(a) for a in acts] for acts in self.actions]
-            self.known = {}  # table entries read so far, by base-set mask
 
     def context(self, a, agents=None):
         """The context formed by the entries ``a[j]`` for j in ``agents``
@@ -514,32 +520,23 @@ class _Engine:
 
     def value(self, ctx) -> float:
         """The welfare of a context: the sum of each curve at its count, or
-        the table entry of the base set (ModelIncompleteError if missing,
-        which is never memoised)."""
+        the table entry of the base set's mask (ModelIncompleteError if
+        missing)."""
         if self.separable:
             curves = self.curves
             total = 0.0
             for r in range(self.m):
                 total += curves[r][ctx[r]]
             return total
-        v = self.known.get(ctx)
-        if v is None:
-            ids = _mask_ids(ctx)
-            try:
-                v = self.known[ctx] = self.table[frozenset(ids)]
-            except KeyError:
-                raise ModelIncompleteError(
-                    f"no welfare table entry for base set {ids}"
-                ) from None
-        return v
+        return self.table[ctx]
 
     def utilities(self, i: int, ctx) -> list:
         """Agent i's designed utility for each of its actions, played on top
         of the context ``ctx``, which must exclude agent i; a table's
         entries are read in action order after the base's."""
         if not self.separable:
-            value, base = self.value, self.value(ctx)
-            return [value(ctx | b) - base for b in self.masks[i]]
+            table, base = self.table, self.table[ctx]
+            return [table[ctx | b] - base for b in self.masks[i]]
         terms = self.terms[i]
         out = []
         for res in self.act_res[i]:
@@ -707,7 +704,7 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     def ordered(keys) -> list:
         if separable:
             return sorted(keys, key=lambda k: (sum(k), k))
-        return sorted(keys, key=lambda k: (k.bit_count(), _mask_ids(k)))
+        return [k for _, _, k in _by_size_then_ids(keys)]
 
     def above(keys) -> list:
         # a context above another has a larger total resp. size: it sorts later
@@ -794,6 +791,13 @@ def _mask_ids(mask: int) -> list:
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
 
+def _by_size_then_ids(masks) -> list:
+    """``(size, ids, mask)`` for each of a collection of distinct base-set masks,
+    sorted: the one order of a table's base sets, in documents and witnesses."""
+    ids = list(map(_mask_ids, masks))
+    return sorted(zip(map(len, ids), ids, masks))
+
+
 def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugReport:
     """Verify the valid-utility-game conditions for the assigned utilities.
 
@@ -829,7 +833,7 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     eng = game._engine
     n, separable, act_res = eng.n, eng.separable, eng.act_res
     value, own = eng.value, None if separable else eng.masks
-    get = None if separable else eng.known.get  # a table's memo, value() on a miss
+    table = None if separable else eng.table
     cond2_ok = cond3_ok = cond3_tight = True
     failure: Optional[CheckFinding] = None
     profiles = 0
@@ -837,7 +841,7 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
     def opt_out(i: int) -> float:
         """W(a₋ᵢ): agent i's resources out of the counts or the base set."""
         if not separable:
-            return value(mask & ~(own[i][idxs[i]] & ones))
+            return table[mask & ~(own[i][idxs[i]] & ones)]
         res = act_res[i][idxs[i]]
         for r in res:
             ctx[r] -= 1
@@ -856,18 +860,14 @@ def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:
         mask, ones = bases[n], solos[n]
         # one W(a) per profile and at most one opt-out welfare per agent
         profiles += 1
-        w = value(ctx) if separable else get(mask)
-        if w is None:
-            w = value(mask)
+        w = value(ctx) if separable else table[mask]
         total = 0.0
         for i in range(n):
             marginal = None
             if utility_fn is not None:
                 u = utility_fn(game, i, a)
             elif not separable:  # a table's utilities are marginal contributions
-                out = mask & ~(own[i][idxs[i]] & ones)
-                v = get(out)
-                u = marginal = w - (value(out) if v is None else v)
+                u = marginal = w - table[mask & ~(own[i][idxs[i]] & ones)]
             elif eng.is_mc[i]:
                 u = marginal = w - opt_out(i)
             else:  # equal share, summed in sorted resource order

@@ -27,6 +27,7 @@ from .game import (
     SeparableWelfare,
     TabulatedWelfare,
     Utility,
+    _by_size_then_ids,
 )
 
 __all__ = [
@@ -360,9 +361,10 @@ def serialize(game: GameInstance) -> str:
         table = ""
     else:
         resources = [f'{{\n{p6}"id": {r}\n{p4}}}' for r in range(game.num_resources)]
-        rows = sorted((len(s), sorted(s), v) for s, v in game.welfare.entries)
+        values = game.welfare.table
         table = ',\n  "table": ' + L([f'{{\n{p6}"subset": {L(list(map(str, ids)), p6)},\n'
-                                      f'{p6}"value": {v!r}\n{p4}}}' for _, ids, v in rows], "  ")
+                                      f'{p6}"value": {values[k]!r}\n{p4}}}'
+                                      for _, ids, k in _by_size_then_ids(values)], "  ")
     action_sets = [L([L(list(map(str, sorted(a))), p6) for a in acts if a], p4)
                    for acts in game.action_sets]
     labels = lambda enums: L([encode_basestring_ascii(e.value) for e in enums], "  ")

@@ -26,9 +26,9 @@ an uncached per-step update with ``random.Random(seed)`` would draw:
   built per context a temperature visits;
 - the welfare is updated in place when the agent switches: separable
   welfare by the changes of the curves at the old action's resources, then
-  the new action's, tabulated welfare by a read of the kernel's table memo,
-  keyed by the base set's bit mask, whenever a count crosses zero. The
-  minimum, maximum and trace are taken at the switches too.
+  the new action's, tabulated welfare by one read of the welfare's own
+  table, keyed by the base set's bit mask, whenever a count crosses zero.
+  The minimum, maximum and trace are taken at the switches too.
 """
 
 from __future__ import annotations
@@ -230,11 +230,11 @@ def _play(
             vis[r] += visible[i]
     # tabulated welfare, as bit masks: the base set (mask), the visible
     # agents' base set (vmask) and the resources one visible agent alone
-    # selects (vones); the kernel's memo holds the table by mask
+    # selects (vones); the table is keyed by mask
     mask = sum([1 << r for r in every if counts[r]])
     vmask = sum([1 << r for r in every if vis[r]])
     vones = sum([1 << r for r in every if vis[r] == 1])
-    known, masks = (None, None) if separable else (eng.known, eng.masks)
+    table, masks = (None, None) if separable else (eng.table, eng.masks)
     # None if a0's base set has no table entry: the error is raised only if
     # step 0 keeps that base set, as a plain per-step update would
     try:
@@ -351,9 +351,7 @@ def _play(
                             for a in observers:
                                 cur[a] = None
                             cur[i] = keep
-                        w = known.get(mask)
-                        if w is None:
-                            w = value(mask)
+                        w = table[mask]
                     ww = w * w
                     idxs[i] = j
                     if changes is not None:

@@ -17,7 +17,7 @@ import anarchy_lab.game as game_module
 from anarchy_lab import cli, equilibrium
 from anarchy_lab import instances as inst
 from anarchy_lab.cli import main
-from test_equilibrium import coverage_game, overflowing_pair
+from test_equilibrium import coverage_game, overflowing_pair, table_by_set
 from test_instances import reference_serialize
 from test_learning import reference_walk, sim_table_twin, softmax_choice
 
@@ -939,7 +939,7 @@ class TestLll:
         # already in the first distribution read
         game = sim_table_twin()
         m = game.num_resources
-        table = dict(game.welfare.table)
+        table = table_by_set(game.welfare)
         for s in list(table):
             if (6 < len(s) < m) if where == "mid-run" else len(s) == 1:
                 del table[s]

@@ -120,6 +120,16 @@ def family_grid(settings=HUB_SETTINGS):
     return games
 
 
+def table_by_set(welfare):
+    """A tabulated welfare's entries keyed by base set, a frozenset of
+    resource ids, decoded from its bit masks here rather than by the
+    package."""
+    return {
+        frozenset(r for r in range(welfare.num_resources) if mask >> r & 1): value
+        for mask, value in welfare.table.items()
+    }
+
+
 def coverage_game(seed, n, labels=()):
     """Weighted-coverage welfare tabulated over every resource subset, with
     marginal-contribution utilities; ``labels`` go to the first agents."""

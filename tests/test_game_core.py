@@ -77,8 +77,8 @@ class TestWelfareEval:
             al.welfare_eval(g, (frozenset({1}),))
 
     def test_a_missing_entry_is_never_memoised(self):
-        # the kernel reads a table by base-set mask through a memo; a hole
-        # raises on every read and leaves the memo holding only real entries
+        # the kernel reads the welfare's own table by base-set mask; a hole
+        # raises on every read and leaves the table holding only real entries
         table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 1.0}
         g = al.GameInstance(
             welfare=al.TabulatedWelfare.from_mapping(table, 2),
@@ -87,17 +87,18 @@ class TestWelfareEval:
             compromise=(Compromise.NORMAL,) * 2,
         )
         eng = g._engine
+        assert eng.table is g.welfare.table
         message = "no welfare table entry for base set [0, 1]"
         for _ in range(2):
             with pytest.raises(al.ModelIncompleteError) as got:
                 eng.value(0b11)
             assert str(got.value) == message
-        assert eng.value(0b01) == 1.0 and eng.known == {0b01: 1.0}
+        assert eng.value(0b01) == 1.0
         for run in (al.check_vug, al.instance_poa):
             with pytest.raises(al.ModelIncompleteError) as got:
                 run(g)
             assert str(got.value) == message
-        assert eng.known == {0b00: 0.0, 0b01: 1.0, 0b10: 1.0}
+        assert g.welfare.table == {0b00: 0.0, 0b01: 1.0, 0b10: 1.0}
 
     def test_dropped_table_is_collected(self):
         w = al.TabulatedWelfare.from_mapping({frozenset(): 0.0, frozenset({0}): 1.0}, 1)

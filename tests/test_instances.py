@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anarchy_lab as al
+import anarchy_lab.game as game_module
 from anarchy_lab import EMPTY_ACTION, Compromise, SeparableWelfare, Utility
 from anarchy_lab.instances import _labels_for, _step_curve
-from test_equilibrium import coverage_game
+from test_equilibrium import coverage_game, table_by_set
 
 
 def hub_ratio_formula(n, k, eps, delta):
@@ -417,7 +418,7 @@ class TestSerialization:
 
     def test_table_insertion_order_does_not_matter(self):
         game = coverage_game(5, 4, [Compromise.BLIND, Compromise.ISOLATED])
-        items = sorted(game.welfare.table.items(), key=lambda e: (len(e[0]), sorted(e[0])))
+        items = sorted(table_by_set(game.welfare).items(), key=lambda e: (len(e[0]), sorted(e[0])))
         games = [
             dataclasses.replace(
                 game, welfare=al.TabulatedWelfare.from_mapping(dict(order), game.num_resources)
@@ -456,11 +457,43 @@ class TestSerialization:
         with pytest.raises(al.ParseError, match="99"):
             al.parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [2, -1, 10**30])
+    def test_table_subset_with_an_unknown_resource_id_is_named(self, bad):
+        # every id is checked against the resources before its bit is set,
+        # so no id is shifted out of range, however large
+        doc = {
+            "n": 1,
+            "resources": [{"id": 0}, {"id": 1}],
+            "table": [{"subset": [], "value": 0.0}, {"subset": [0, bad], "value": 1.0}],
+            "action_sets": [[[0]]],
+            "utility": ["mc"],
+            "compromise": ["normal"],
+        }
+        with pytest.raises(al.ParseError) as got:
+            al.parse(json.dumps(doc))
+        assert str(got.value) == f"table subset references unknown resource id {bad}"
+
     def test_bad_curve_names_the_resource(self):
         doc = json.loads(al.serialize(al.gen_k_blind(3, 1, 0.01, 0.01)))
         doc["resources"][1]["curve"] = [0.0, 0.5, 1.5, 1.6]  # convex start
         with pytest.raises(al.ParseError, match="resource 1"):
             al.parse(json.dumps(doc))
+
+    def test_a_repeated_bad_curve_names_its_first_resource(self, monkeypatch):
+        # each distinct curve is validated once, and a bad one fails at its
+        # first occurrence
+        doc = json.loads(al.serialize(al.gen_k_blind(4, 1, 0.01, 0.01)))
+        good, bad = doc["resources"][0]["curve"], [0.0, 0.5, 1.5, 1.6, 1.7]
+        for r, curve in enumerate([good, bad, good, bad]):
+            doc["resources"][r]["curve"] = curve
+        with pytest.raises(al.ParseError, match="^resource 1: increasing marginal returns"):
+            al.parse(json.dumps(doc))
+        checked = []
+        validate = game_module._validate_curve
+        monkeypatch.setattr(game_module, "_validate_curve",
+                            lambda curve, r, n: checked.append(r) or validate(curve, r, n))
+        al.gen_k_blind(40, 2, 0.01, 0.01)
+        assert checked == [0, 1, 3]  # the hub, the compromised and the normal alternates
 
     def test_malformed_json_rejected(self):
         with pytest.raises(al.ParseError, match="JSON"):
@@ -493,7 +526,7 @@ def reference_serialize(game):
         ]
     else:
         doc["resources"] = [{"id": r} for r in range(game.num_resources)]
-        rows = sorted((len(s), sorted(s), v) for s, v in game.welfare.entries)
+        rows = sorted((len(s), sorted(s), v) for s, v in table_by_set(game.welfare).items())
         doc["table"] = [{"subset": ids, "value": v} for _, ids, v in rows]
     doc["action_sets"] = [
         [sorted(a) for a in acts if a] for acts in game.action_sets
@@ -553,7 +586,7 @@ def oracle_games():
         yield al.gen_random_separable(n, 4, 4, k=k, labels=labels, seed=seed)
     for seed in range(20):
         game = coverage_game(seed, 1 + seed % 4)
-        items = sorted(game.welfare.table.items(), key=lambda e: (len(e[0]), sorted(e[0])))
+        items = sorted(table_by_set(game.welfare).items(), key=lambda e: (len(e[0]), sorted(e[0])))
         holed = [e for i, e in enumerate(items) if i == 0 or (i + seed) % 3]
         yield dataclasses.replace(
             game, welfare=al.TabulatedWelfare(holed, game.num_resources)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import anarchy_lab as al
 from anarchy_lab import Compromise, Utility
 from anarchy_lab import learning
+from anarchy_lab.game import _Table
 from anarchy_lab.learning import _softmax
+from test_equilibrium import table_by_set
 
 
 def two_action_game(v0, v1):
@@ -543,7 +545,8 @@ class TestCachedRunner:
             game = coverage_game(rng, labels, holes=0.15)
             seed = rng.randrange(2**32)
             starts = [random_start(game, rng) for _ in range(20)]
-            holes = [a for a in starts if al.base_set(a) not in game.welfare.table]
+            table = table_by_set(game.welfare)
+            holes = [a for a in starts if al.base_set(a) not in table]
             for a0 in [None] + holes[:1]:
                 walk = reference_walk(game, seed, softmax_choice(game, 0.1), a0)
                 done, message = 0, None
@@ -615,22 +618,25 @@ class TestSweepSharesDistributions:
             holed += len(game.welfare.table) < 2 ** game.num_resources if not game.separable else 0
         assert raised and holed > raised  # holed tables that raise and that run through
 
-    def test_reads_each_table_entry_through_a_frozenset_once(self):
-        # the kernel memoises the table by base-set mask, so however many
-        # runs, temperatures and observers, an entry costs one frozenset
-        # lookup in the table per game
+    def test_reads_the_welfares_own_table_by_mask(self):
+        # the kernel holds the welfare's table itself, keyed by base-set
+        # mask, so however many runs, temperatures and observers, every
+        # welfare value is a read of that dict with an int key
         reads = []
 
-        class Table(dict):
+        class Table(_Table):
             def __getitem__(self, key):
                 reads.append(key)
-                return dict.__getitem__(self, key)
+                return super().__getitem__(key)
 
         rng = random.Random(3)
         for game in (sim_table_twin(), coverage_game(rng, [Compromise.NORMAL] * 3 + [
                 Compromise.BLIND, Compromise.ISOLATED])):
-            game._engine.table = Table(game._engine.table)
+            assert game._engine.table is game.welfare.table
+            want = al.temperature_sweep(game, [0.1, 10.0], steps=5000, trials=2, seed=3)
+            game._engine.table = Table(game.welfare.table)
             reads.clear()
-            al.temperature_sweep(game, [0.1, 10.0], steps=5000, trials=2, seed=3)
-            assert len(reads) == len(set(reads)) > 4
-            assert all(type(key) is frozenset for key in reads)
+            got = al.temperature_sweep(game, [0.1, 10.0], steps=5000, trials=2, seed=3)
+            assert got == want
+            assert len(set(reads)) > 4
+            assert all(type(key) is int and key in game.welfare.table for key in reads)

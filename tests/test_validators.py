@@ -16,6 +16,7 @@ import anarchy_lab.game as game_module
 from anarchy_lab import Compromise, Utility
 from test_equilibrium import (
     coverage_game, holed_table_game, small_separable_games, small_tabulated_games,
+    table_by_set,
 )
 
 
@@ -44,14 +45,15 @@ def direct_scan_submodular(game):
     table is read directly, by base set."""
     eng = game._engine
     separable = game.separable
+    table = None if separable else table_by_set(game.welfare)
     contexts = pairs = 0
 
     def value(ctx):
         if separable:
             return eng.value(ctx)
-        if ctx not in game.welfare.table:
+        if ctx not in table:
             raise al.ModelIncompleteError(f"no welfare table entry for base set {sorted(ctx)}")
-        return game.welfare.table[ctx]
+        return table[ctx]
 
     def describe(ctx, separable):
         return {"counts": list(ctx)} if separable else {"base_set": sorted(ctx)}
@@ -677,19 +679,18 @@ class TestCheckVugSharedEvaluations:
             calls.append(1)
             return value(eng, ctx)
 
-        class Memo(dict):
-            def get(self, key, default=None):
+        class Table(game_module._Table):
+            def __getitem__(self, key):
                 lookups.append(1)
-                return dict.get(self, key, default)
+                return super().__getitem__(key)
 
         # every welfare value of the walk is one kernel read: value() for
-        # separable welfare, a lookup in the kernel's memo for a table, which
-        # the submodularity scan has filled with every entry the walk reads
+        # separable welfare, a lookup in the kernel's table for a table
         monkeypatch.setattr(game_module._Engine, "value", spy)
         welfare = game_module._scan_submodular(game)
         assert welfare.ok
         if not game.separable:
-            game._engine.known = Memo(game._engine.known)
+            game._engine.table = Table(game._engine.table)
         calls.clear()
         report = game_module._scan_vug(game, None, welfare)
         assert report.ok

@@ -458,10 +458,7 @@ def cmd_lll(args) -> int:
     )
     if args.out:
         _write_text(args.out, result.to_csv())
-    rows = [
-        (T, result.pooled_mean(T))
-        for T in result.temperatures()
-    ]
+    rows = [(T, result.pooled_mean(T)) for T in result.temperatures()]
     _print_table(("temperature", "mean_welfare"), rows)
     return EXIT_OK
 

@@ -29,31 +29,29 @@ def _agent_classes(game: GameInstance) -> list:
     """The agents as classes of interchangeable ones, each class in agent
     order and the classes in the order of their first agent.
 
-    Two agents of a separable game share a class when they have the same
-    label and utility and, action by action in index order, the same
-    resources up to private ones (selectable by that agent alone) with
-    equal curves, in the same sorted positions. Permuting a class's agents
-    then maps a profile to one where every agent's candidate utilities are
-    the same floats, so the equilibria are unions of such orbits. Welfare
-    sums the curves in resource order, where a private resource adds its
-    value at 1 or, unselected, exactly nothing; so the sum is one float
-    over an orbit when each class's private resources lie in one block, a
-    run of consecutive private resources all with one curve, whose terms
-    are that value as many times as the orbit selects them. A class that
-    does not is split into singletons; the blocks depend on the private
-    resources alone, so one pass settles every class. Tabulated welfare
-    keeps every agent a class of its own.
+    Two agents share a class when they have the same label and utility
+    and, action by action in index order, the same resources; for
+    separable welfare, up to private ones (selectable by that agent alone)
+    with equal curves, in the same sorted positions. Permuting a class's
+    agents then maps a profile to one where every agent's candidate
+    utilities are the same floats (on a table, the same base set and the
+    same observed ones), so the equilibria are unions of such orbits.
+    Separable welfare sums the curves in resource order, where a private
+    resource adds its value at 1 or, unselected, exactly nothing; so the
+    sum is one float over an orbit when each class's private resources lie
+    in one block, a run of consecutive private resources all with one
+    curve, whose terms are that value as many times as the orbit selects
+    them. A class that does not is split into singletons; the blocks depend
+    on the private resources alone, so one pass settles every class.
     """
-    n = game.n
-    if not game.separable:
-        return [[i] for i in range(n)]
     eng = game._engine
     touched = [set().union(*acts) for acts in eng.act_res]
     count = collections.Counter(itertools.chain.from_iterable(touched))
     # in an agent's shape a private resource stands as -1 - the first id of
     # a private resource with its curve
-    first = {}
-    part = {r: -1 - first.setdefault(eng.curves[r], r) for r, c in count.items() if c == 1}
+    first, part = {}, {}
+    if game.separable:
+        part = {r: -1 - first.setdefault(eng.curves[r], r) for r, c in count.items() if c == 1}
     groups = {}
     for i, acts in enumerate(eng.act_res):
         shape = tuple([tuple([part.get(r, r) for r in res]) for res in acts])
@@ -111,11 +109,11 @@ def _search(game: GameInstance, classes, cap: int, visit):
     sure to pass it everywhere below is not tested again (see
     :class:`_TermBounds`); an agent on the action of the agent before it in
     its class shares that agent's verdict. Tabulated welfare, which need
-    not be submodular, is searched without either; its base sets are bit
-    masks kept move by move, and each agent's test is run once per observed
-    base set, for all its actions at once. At a complete profile the
-    bounds are the exact test's own floats and decide every agent; a table
-    runs the scan's exact test for the normal agents still undecided.
+    not be submodular, is searched over its orbits with neither; its base
+    sets are bit masks kept move by move, and each agent's test is run once
+    per observed base set, for all its actions at once. At a complete
+    profile the bounds are the exact test's own floats and decide every
+    agent; a table runs the scan's exact test for its normal agents.
     ``visit(idxs, weight, welfare)`` is called on each equilibrium found,
     with its action indices by agent (a list the search goes on to change),
     the size of its orbit and its welfare.

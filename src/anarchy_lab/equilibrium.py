@@ -32,6 +32,7 @@ from .game import (
     Compromise,
     GameInstance,
     JointAction,
+    ModelIncompleteError,
     SizeCapError,
     Utility,
     _Engine,
@@ -145,10 +146,7 @@ def best_response_set(game: GameInstance, i: int, a: JointAction):
 def is_pne(game: GameInstance, a: JointAction) -> bool:
     """True iff every agent's entry is in its best-response set at ``a``."""
     validate_joint_action(game, a)
-    for i in range(game.n):
-        if a[i] not in best_response_set(game, i, a):
-            return False
-    return True
+    return all(a[i] in best_response_set(game, i, a) for i in range(game.n))
 
 
 def enumerate_pne(game: GameInstance, cap: int = DEFAULT_ENUM_CAP) -> EquilibriumSet:
@@ -179,7 +177,8 @@ def _worst_pne(game: GameInstance):
     ``(0, None, None)`` if there is none. One search over the agent classes,
     keeping only these three; the same as :func:`enumerate_pne`'s
     ``len(profiles)`` and ``worst()``. SizeCapError as there, counting the
-    branches of this search."""
+    branches of this search; a missing table entry is reported as there, the
+    first one a scan of every profile meets."""
     count, worst = 0, None
 
     def fold(idxs, weight, welfare):
@@ -188,7 +187,11 @@ def _worst_pne(game: GameInstance):
         if worst is None or welfare < worst[0] or (welfare == worst[0] and idxs < worst[1]):
             worst = welfare, idxs[:]
 
-    _search(game, _agent_classes(game), DEFAULT_ENUM_CAP, fold)
+    try:
+        _search(game, _agent_classes(game), DEFAULT_ENUM_CAP, fold)
+    except ModelIncompleteError:  # the orbits may meet another missing entry first
+        enumerate_pne(game)
+        raise
     if worst is None:
         return 0, None, None
     return count, worst[0], game._engine.profile(worst[1])
@@ -299,8 +302,7 @@ def _best_profile(eng: _Engine, choices, cap: int = DEFAULT_ENUM_CAP):
     # that node gives the same float welfare on a smaller profile.
     top = bound[0][zero]
     floor = top - 1e-9 * (1.0 + abs(top))
-    best = -math.inf
-    best_idxs = None
+    best, best_idxs = -math.inf, None
     seen = set()
     stack = [(0, zero, 0.0, zero, ())]
     branches = 1
@@ -313,8 +315,7 @@ def _best_profile(eng: _Engine, choices, cap: int = DEFAULT_ENUM_CAP):
         if depth == n:
             w = eng.value(eng.context(eng.profile(idxs)))
             if w > best:
-                best = w
-                best_idxs = idxs
+                best, best_idxs = w, idxs
             continue
         row = moves[depth][state]
         branches += len(row) - 1

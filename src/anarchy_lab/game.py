@@ -812,11 +812,14 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     report is ok, the kernel's certificate settles both conditions and the
     tightness per resource (``path="certificate"``, no profile walked).
     Otherwise every profile is scanned in :func:`all_profiles` order, its
-    context (counts, or base-set bit masks) kept move by move and each W(a₋ᵢ)
-    read off it with agent i taken out, so W(a), W(a₋ᵢ) and equal shares are
-    the per-profile functions' floats;
-    a game of more than ``DEFAULT_CHECK_CAP`` profiles that the certificate
-    may not settle is refused before either scan.
+    context (counts, or base-set bit masks) kept move by move and each
+    W(a₋ᵢ) read off it with agent i taken out, so W(a), W(a₋ᵢ) and equal
+    shares are the per-profile functions' floats; a game of more than
+    ``DEFAULT_CHECK_CAP`` profiles that the certificate may not settle is
+    refused before either scan. A table always takes the scan, so where it
+    misses an entry the scan raises ModelIncompleteError, naming the first
+    one it meets; the embedded report's ``table-missing`` finding, which
+    :func:`check_submodular` returns, is then never seen.
     """
     sub, valid, tight = game._engine.certificate
     if utility_fn is not None or not (sub and valid and tight is not None):

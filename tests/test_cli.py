@@ -191,6 +191,28 @@ class TestCheck:
         assert code == 2
         assert "equal-share" in err
 
+    @pytest.mark.parametrize("hole", [(0, 1, 2), ()])
+    def test_a_table_missing_an_entry_exits_two_naming_it(self, hole, tmp_path, capsys):
+        # CI's smoke-hole3.json layout, and the same table without its ∅
+        # entry: check's profile scan raises on the first entry it misses,
+        # so no report is printed, only that error; check_submodular,
+        # called on its own, returns the entry as a table-missing finding
+        table = {
+            frozenset(s): float(size)
+            for size in range(4) for s in itertools.combinations(range(3), size) if s != hole
+        }
+        game = al.GameInstance(
+            al.TabulatedWelfare.from_mapping(table, 3), (({0}, {1}, {2}),) * 3,
+            ("mc",) * 3, ("normal",) * 3,
+        )
+        path = tmp_path / "hole.json"
+        path.write_text(al.serialize(game))
+        message = f"no welfare table entry for base set {list(hole)}"
+        assert run(capsys, "check", "--instance", str(path)) == (2, "", f"error: {message}\n")
+        report = al.check_submodular(game)
+        assert (report.ok, report.failure.kind, report.failure.message) == (
+            False, "table-missing", message
+        )
 
     def test_runs_the_submodularity_scan_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.json"

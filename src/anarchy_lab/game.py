@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -668,11 +669,14 @@ def check_submodular(game: GameInstance) -> SubmodularityReport:
     """
     if game._engine.certificate[0]:
         return SubmodularityReport(True, None, 0, 0, "certificate")
-    return _scan_submodular(game)
+    return _scan_submodular(game)[0]
 
 
-def _scan_submodular(game: GameInstance) -> SubmodularityReport:
-    """The exhaustive scan behind :func:`check_submodular`.
+def _scan_submodular(game: GameInstance) -> tuple:
+    """The exhaustive scan behind :func:`check_submodular`: its report, and
+    the largest margin rise and fall, ``m_b - m_s`` and ``m_s - m_b`` (at
+    least 0), over the pairs s below b of the submodularity phase, which
+    settle :func:`check_vug` on a table.
 
     Contexts are deduplicated by what the welfare actually depends on
     (per-resource counts for separable welfare, base-set bit masks for
@@ -690,21 +694,17 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     separable, value = game.separable, eng.value
     join = eng.join if separable else int.__or__
     contexts_checked = pairs_checked = 0
+    rise = fall = 0.0
 
-    def failed(kind, message, witness=None) -> SubmodularityReport:
+    def failed(kind, message, witness=None) -> tuple:
         finding = CheckFinding(kind, message, witness)
-        return SubmodularityReport(False, finding, contexts_checked, pairs_checked)
+        return SubmodularityReport(False, finding, contexts_checked, pairs_checked), rise, fall
 
     # one integer per count context, a field per resource holding its count
     # under a guard bit: b is above s exactly when no field of (b | guard) - s
     # borrows its guard bit
     width = game.n.bit_length() + 1
     guard = sum(1 << (r * width + width - 1) for r in range(game.num_resources))
-
-    def ordered(keys) -> list:
-        if separable:
-            return sorted(keys, key=lambda k: (sum(k), k))
-        return [k for _, _, k in _by_size_then_ids(keys)]
 
     def above(keys) -> list:
         # a context above another has a larger total resp. size: it sorts later
@@ -722,18 +722,32 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
         ]
 
     def first_violation(margins, dominators):
-        # the first pair with margins[s] < margins[b] - TOLERANCE
-        nonlocal pairs_checked
+        # the first pair with margins[s] < margins[b] - TOLERANCE; every pair
+        # before it widens the spread
+        nonlocal pairs_checked, rise, fall
         for s, bs in enumerate(dominators):
+            m = margins[s]
             for seen, b in enumerate(bs, 1):
-                if margins[s] < margins[b] - TOLERANCE:
+                x = margins[b]
+                if m < x - TOLERANCE:
                     pairs_checked += seen
                     return s, b
+                if x - m > rise:
+                    rise = x - m
+                elif m - x > fall:
+                    fall = m - x
             pairs_checked += len(bs)
         return None
 
     # monotonicity over deduplicated full profiles
-    keys = ordered(eng.reachable(range(game.n)))
+    keys = eng.reachable(range(game.n))
+    if separable:
+        keys.sort(key=lambda k: (sum(k), k))
+    else:
+        keys = [k for _, _, k in _by_size_then_ids(keys)]
+    # each agent's opponents form some of these contexts (the agent opts
+    # out): they are ranked alike
+    rank = dict(zip(keys, itertools.count()))
     try:
         values = [value(k) for k in keys]
         contexts_checked += len(keys)
@@ -747,10 +761,11 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
                 "smaller_value": values[s],
                 "larger_value": values[b],
             })
+        rise = fall = 0.0  # the spread is the submodularity phase's
 
         # decreasing marginal returns, per agent and action
         for i in range(game.n):
-            ckeys = ordered(eng.reachable(j for j in range(game.n) if j != i))
+            ckeys = sorted(eng.reachable(j for j in range(game.n) if j != i), key=rank.__getitem__)
             contexts_checked += len(ckeys)
             base = [value(k) for k in ckeys]
             acts = game.action_sets[i][1:]  # the empty action sorts first
@@ -772,7 +787,7 @@ def _scan_submodular(game: GameInstance) -> SubmodularityReport:
     except ModelIncompleteError as exc:
         return failed("table-missing", str(exc))
 
-    return SubmodularityReport(True, None, contexts_checked, pairs_checked)
+    return SubmodularityReport(True, None, contexts_checked, pairs_checked), rise, fall
 
 
 def _describe_key(key, separable: bool):
@@ -808,26 +823,60 @@ def check_vug(game: GameInstance, utility_fn: Optional[Callable] = None) -> VugR
     assigned utilities, which is how non-shipped designs can be probed.
 
     The welfare conditions are the embedded :func:`check_submodular` report.
-    For separable welfare with the assigned MC/ES utilities, where that
-    report is ok, the kernel's certificate settles both conditions and the
-    tightness per resource (``path="certificate"``, no profile walked).
-    Otherwise every profile is scanned in :func:`all_profiles` order, its
+    Where it is ok and the assigned utilities stand, a certificate settles
+    the utility conditions with no profile walked (``path="certificate"``):
+    for separable welfare the kernel's, per resource; for a table, the
+    submodularity scan's margin spread (:func:`_table_certificate`).
+    Otherwise every profile is walked in :func:`all_profiles` order, its
     context (counts, or base-set bit masks) kept move by move and each
     W(a₋ᵢ) read off it with agent i taken out, so W(a), W(a₋ᵢ) and equal
-    shares are the per-profile functions' floats; a game of more than
-    ``DEFAULT_CHECK_CAP`` profiles that the certificate may not settle is
-    refused before either scan. A table always takes the scan, so where it
-    misses an entry the scan raises ModelIncompleteError, naming the first
-    one it meets; the embedded report's ``table-missing`` finding, which
-    :func:`check_submodular` returns, is then never seen.
+    shares are the per-profile functions' floats. A game of more than
+    ``DEFAULT_CHECK_CAP`` profiles is refused before the walk, and a
+    separable one before either scan. A table whose scan meets a hole
+    takes the walk, which raises ModelIncompleteError naming the first
+    missing entry it meets; the embedded report's ``table-missing``
+    finding, which :func:`check_submodular` returns, is then never seen.
     """
     sub, valid, tight = game._engine.certificate
-    if utility_fn is not None or not (sub and valid and tight is not None):
-        _require_cap(game)  # the profile scan may run: refuse before any scan
-    welfare_report = check_submodular(game)
+    if game.separable:
+        if utility_fn is not None or not (sub and valid and tight is not None):
+            _require_cap(game)  # the walk may run: refuse before any scan
+        welfare_report = check_submodular(game)
+    else:
+        welfare_report, rise, fall = _scan_submodular(game)
+        if welfare_report.ok:
+            valid, tight = _table_certificate(game._engine, rise, fall)
     if utility_fn is None and welfare_report.ok and valid and tight is not None:
         return VugReport(True, welfare_report, True, True, tight, None, 0, "certificate")
+    _require_cap(game)
     return _scan_vug(game, utility_fn, welfare_report)
+
+
+def _table_certificate(eng: _Engine, rise: float, fall: float) -> tuple:
+    """``(valid, tight)`` of a table whose submodularity scan passed with
+    the margin spread ``rise``, ``fall``; tight is None where unsettled.
+    A table agent's utility is its margin at W(a₋ᵢ), and W(a) telescopes
+    into each agent's margin at the base set of the agents before it, a
+    smaller context of the same opponents: Σᵢ uᵢ - W(a) is in [-n·fall,
+    n·rise] up to ``rho``, which covers the rounding of margins, sums and
+    ``w + TOLERANCE``. Two agents, all others opted out, whose utilities
+    in the walk's floats sum off W by more than the tolerance, refute
+    tightness."""
+    n, table = eng.n, eng.table
+    rho = 8 * (n + 2) ** 2 * 2.0**-53 * (max(table.values()) + TOLERANCE)
+    if not n * rise + rho < TOLERANCE:
+        return False, None
+    if n * max(rise, fall) + rho < TOLERANCE:
+        return True, True
+    # the action-mask pairs of two different agents, class pair by class pair
+    kinds = list(Counter(tuple(masks[1:]) for masks in eng.masks).items())
+    pairs = ((x, y) for c, (xs, size) in enumerate(kinds) for ys, _ in kinds[c + (size < 2):]
+             for x in xs for y in ys)
+    for x, y in pairs:
+        w = table[x | y]
+        if abs((w - table[x]) + (w - table[y]) - w) > TOLERANCE:
+            return True, False
+    return True, None
 
 
 def _scan_vug(game: GameInstance, utility_fn, welfare_report) -> VugReport:

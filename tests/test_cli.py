@@ -17,7 +17,7 @@ import anarchy_lab.game as game_module
 from anarchy_lab import cli, equilibrium
 from anarchy_lab import instances as inst
 from anarchy_lab.cli import main
-from test_equilibrium import coverage_game, overflowing_pair, table_by_set
+from test_equilibrium import coverage_game, cover8, overflowing_pair, table_by_set
 from test_instances import reference_serialize
 from test_learning import reference_walk, sim_table_twin, softmax_choice
 
@@ -214,6 +214,21 @@ class TestCheck:
             False, "table-missing", message
         )
 
+    def test_coverage_tables_past_the_walks_cap_are_settled(self, tmp_path, capsys):
+        # CI's cover8 layout with 8 and with 12 agents (4^12 = 16,777,216
+        # profiles): the margin spread settles both, with the verdicts the
+        # profile walk gives on 8 agents
+        welfare = cover8().welfare
+        walk = game_module._scan_vug(cover8(), None, al.check_submodular(cover8()))
+        assert (walk.ok, walk.utility_sum_tight) == (True, False)
+        for n in (8, 12):
+            game = al.GameInstance(welfare, (({0}, {1}, {2}),) * n, ("mc",) * n, ("normal",) * n)
+            path = tmp_path / f"cover{n}.json"
+            path.write_text(al.serialize(game))
+            code, out, err = run(capsys, "check", "--instance", str(path))
+            assert (code, err) == (0, "")
+            assert [line.split()[-1] for line in out.splitlines()] == ["3", "yes", "yes", "yes", "no"]
+
     def test_runs_the_submodularity_scan_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.json"
         path.write_text(al.serialize(al.gen_k_blind(4, 2, 0.01, 0.01)))
@@ -373,20 +388,30 @@ class TestAnalysis:
         assert witness["margin_at_smaller"] == 1e308
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
-        # a table is scanned, and the scan walks every profile: 3^12 of
-        # them is past its cap
-        table = {frozenset(s): float(len(s)) for s in ((), (0,), (1,), (0, 1))}
-        game = al.GameInstance(
-            welfare=al.TabulatedWelfare.from_mapping(table, 2),
-            action_sets=(({0}, {1}),) * 12,
-            utilities=("mc",) * 12,
-            compromise=("normal",) * 12,
-        )
-        path = tmp_path / "table12.json"
-        path.write_text(al.serialize(game))
-        code, out, err = run(capsys, "check", "--instance", str(path))
-        assert (code, out) == (3, "")
-        assert err == "error: joint action space has 531441 profiles, above the cap of 250000\n"
+        # 3^12 profiles, past the walk's cap. The additive table's margin
+        # spread settles it unwalked; W({0, 1}) = 2 + 5e-10 puts 12 times a
+        # margin rise of 5e-10 in the spread, past the tolerance, so that
+        # table needs the walk, which refuses
+        for top in (2.0, 2.0 + 5e-10):
+            table = {frozenset(s): float(len(s)) for s in ((), (0,), (1,))}
+            table[frozenset({0, 1})] = top
+            game = al.GameInstance(
+                welfare=al.TabulatedWelfare.from_mapping(table, 2),
+                action_sets=(({0}, {1}),) * 12,
+                utilities=("mc",) * 12,
+                compromise=("normal",) * 12,
+            )
+            path = tmp_path / "table12.json"
+            path.write_text(al.serialize(game))
+            code, out, err = run(capsys, "check", "--instance", str(path))
+            if top == 2.0:
+                assert (code, err) == (0, "")
+                verdicts = [line.split()[-1] for line in out.splitlines()[1:]]
+                assert verdicts == ["yes", "yes", "yes", "no"]
+            else:
+                assert (code, out) == (3, "")
+                assert err == ("error: joint action space has 531441 profiles, "
+                               "above the cap of 250000\n")
 
     @pytest.mark.parametrize("family, n, k", [("k_blind", 13, 1), ("sim", 10, 9)])
     def test_check_past_the_scans_caps(self, family, n, k, tmp_path, capsys):

@@ -16,7 +16,7 @@ import anarchy_lab.game as game_module
 from anarchy_lab import Compromise, Utility
 from test_equilibrium import (
     coverage_game, holed_table_game, small_separable_games, small_tabulated_games,
-    table_by_set,
+    table_by_set, tables_with_twins,
 )
 
 
@@ -36,6 +36,11 @@ def full_table(num_resources, value_fn):
         for combo in itertools.combinations(range(num_resources), size):
             table[frozenset(combo)] = value_fn(frozenset(combo))
     return table
+
+
+def scan_submodular(game):
+    """check_submodular's scan, its report without the margin spread."""
+    return game_module._scan_submodular(game)[0]
 
 
 def direct_scan_submodular(game):
@@ -135,7 +140,7 @@ def direct_scan_vug(game, utility_fn=None):
     the profile, every equal share by equal_share; the welfare report is
     the submodularity scan's."""
     game_module._require_cap(game)
-    welfare_report = game_module._scan_submodular(game)
+    welfare_report = scan_submodular(game)
     cond2_ok = cond3_ok = cond3_tight = True
     failure = None
     profiles = 0
@@ -282,7 +287,7 @@ def overflow_game():
 def scan_vug(game, utility_fn=None):
     """check_vug's scan, on top of the submodularity scan."""
     game_module._require_cap(game)
-    return game_module._scan_vug(game, utility_fn, game_module._scan_submodular(game))
+    return game_module._scan_vug(game, utility_fn, scan_submodular(game))
 
 
 def settled(report):
@@ -303,7 +308,7 @@ class TestCheckSubmodularMatchesTheDirectScan:
         kinds = set()
         for seed in range(300):
             game = random_separable_game(random.Random(seed))
-            report = game_module._scan_submodular(game)
+            report = scan_submodular(game)
             assert report == direct_scan_submodular(game), seed
             kinds.add(report.failure.kind if report.failure else "ok")
         assert kinds == {"ok", "submodularity"}
@@ -312,14 +317,14 @@ class TestCheckSubmodularMatchesTheDirectScan:
         kinds = set()
         for seed in range(300):
             game = random_tabulated_game(random.Random(seed))
-            report = check_outcome(game_module._scan_submodular, game)
+            report = check_outcome(scan_submodular, game)
             assert report == check_outcome(direct_scan_submodular, game), seed
             kinds.add(report.failure.kind if report.failure else "ok")
         assert kinds == {"ok", "monotonicity", "submodularity", "table-missing"}
 
     def test_families(self):
         for game in family_games():
-            assert game_module._scan_submodular(game) == direct_scan_submodular(game)
+            assert scan_submodular(game) == direct_scan_submodular(game)
 
     def test_overflowing_welfare(self):
         # the certificate settles nothing past its rounding allowance
@@ -365,7 +370,7 @@ class TestCheckSubmodularMatchesTheDirectScan:
     @settings(max_examples=200, deadline=None)
     def test_property(self, seed, generator):
         game = generator(random.Random(seed))
-        assert check_outcome(game_module._scan_submodular, game) == check_outcome(
+        assert check_outcome(scan_submodular, game) == check_outcome(
             direct_scan_submodular, game
         )
 
@@ -417,18 +422,27 @@ class TestCheckSubmodular:
         assert al.check_submodular(game).ok
 
     def test_size_cap_refusal(self):
-        # the pair scan visits contexts, not profiles: it answers on a table
-        # of 3^12 = 531,441 profiles, and only the utility walk, which
-        # visits every profile, refuses
-        weights = {0: 2.0, 1: 1.0, 2: 0.5}
-        table = full_table(3, lambda s: sum(weights[r] for r in sorted(s)))
-        game = tabulated_game(table, 3, [[{0}, {1, 2}]] * 12)
-        assert al.joint_space_size(game) > game_module.DEFAULT_CHECK_CAP
-        report = al.check_submodular(game)
-        assert report == direct_scan_submodular(game)
-        assert report.ok and report.path == "scan"
-        with pytest.raises(al.SizeCapError, match="above the cap of 250000"):
-            al.check_vug(game)
+        # the pair scan visits contexts, not profiles: it answers on tables
+        # of 3^12 = 531,441 profiles. The additive one's spread settles
+        # check_vug; W({0, 1}) = 2 + 5e-10 puts a margin rise of 5e-10 in
+        # the spread, and 12 times that passes the tolerance, so check_vug
+        # needs the utility walk, which visits every profile and refuses
+        for top, answer in ((2.0, (True, False)), (2.0 + 5e-10, None)):
+            table = full_table(2, len)
+            table[frozenset({0, 1})] = top
+            game = tabulated_game(table, 2, [[{0}, {1}]] * 12)
+            assert al.joint_space_size(game) > game_module.DEFAULT_CHECK_CAP
+            report = al.check_submodular(game)
+            assert report == direct_scan_submodular(game)
+            assert report.ok and report.path == "scan"
+            if answer is None:
+                cap = "has 531441 profiles, above the cap of 250000"
+                with pytest.raises(al.SizeCapError, match=cap):
+                    al.check_vug(game)
+            else:
+                vug = al.check_vug(game)
+                assert (vug.path, vug.profiles_checked, vug.welfare) == ("certificate", 0, report)
+                assert (vug.ok, vug.utility_sum_tight) == answer
         # 40 agents with a private resource each, on curves that use the
         # constructor's slack, so the certificate settles nothing: the scan
         # refuses once the first 11 agents form 2^11 contexts, before the
@@ -481,7 +495,7 @@ class TestCheckSubmodular:
         # selections, past the pair scan's; the curves settle both
         for game in (al.gen_k_blind(13, 1, 0.01, 0.01), al.gen_sim_game(10, 9, 0.05)):
             with pytest.raises(al.SizeCapError):
-                game_module._scan_submodular(game)
+                scan_submodular(game)
             report = al.check_vug(game)
             assert (report.path, report.welfare.path) == ("certificate", "certificate")
             assert report.ok and report.profiles_checked == 0
@@ -687,7 +701,7 @@ class TestCheckVugSharedEvaluations:
         # every welfare value of the walk is one kernel read: value() for
         # separable welfare, a lookup in the kernel's table for a table
         monkeypatch.setattr(game_module._Engine, "value", spy)
-        welfare = game_module._scan_submodular(game)
+        welfare = scan_submodular(game)
         assert welfare.ok
         if not game.separable:
             game._engine.table = Table(game._engine.table)
@@ -706,7 +720,7 @@ class TestCheckVugSharedEvaluations:
     def test_the_walk_builds_no_context_from_a_profile(self, monkeypatch, game):
         # the context is kept move by move: neither the kernel's context()
         # nor base_set() runs once the submodularity report is in
-        welfare = game_module._scan_submodular(game)
+        welfare = scan_submodular(game)
 
         def refuse(*args):
             raise AssertionError("a context built from a whole profile")
@@ -913,3 +927,69 @@ class TestCertificate:
         al.check_vug(game)  # check_submodular, then check_vug itself
         al.check_vug(game)
         assert len(calls) == 1
+
+
+def settled_outcome(check, game):
+    """What the certificate settles of a check_vug-style report, or the type
+    and message of what the check raised."""
+    try:
+        return settled(check(game))
+    except (al.ModelIncompleteError, al.SizeCapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTableCertificate:
+    """check_vug settles a table from its submodularity scan's margin
+    spread where it can; the profile walks are its oracles."""
+
+    @given(st.one_of(small_tabulated_games(), tables_with_twins()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_walks(self, game):
+        got = settled_outcome(al.check_vug, game)
+        assert got == settled_outcome(scan_vug, game) == settled_outcome(direct_scan_vug, game)
+
+    def test_settles_every_passing_random_table(self):
+        paths, tight = set(), set()
+        for seed in range(300):
+            game = random_tabulated_game(random.Random(seed))
+            got = settled_outcome(al.check_vug, game)
+            assert got == settled_outcome(scan_vug, game), seed
+            if got[0] is True:
+                report = al.check_vug(game)
+                assert (report.path, report.profiles_checked) == ("certificate", 0), seed
+                tight.add(report.utility_sum_tight)
+            paths.add("certificate" if got[0] is True else "walk")
+        assert paths == {"certificate", "walk"} and tight == {True, False}
+
+    def test_agents_on_disjoint_resources_of_an_additive_table_are_tight(self):
+        # every margin is the resource's own value, whatever the context:
+        # the spread is 0 both ways and tightness is proved
+        game = tabulated_game(full_table(3, len), 3, [[{0}], [{1}, {2}, {1, 2}]])
+        report = al.check_vug(game)
+        assert report.path == "certificate" and report.utility_sum_tight
+        assert settled(report) == settled(direct_scan_vug(game))
+
+    def test_two_agents_on_one_resource_witness_untightness(self):
+        # both on resource 0 of an additive table: each utility is 0 and W
+        # is 1, so the margins fall and the pair's own floats say "no"
+        game = tabulated_game(full_table(2, len), 2, [[{0}], [{0}, {1}]])
+        rise, fall = game_module._scan_submodular(game)[1:]
+        assert (rise, fall) == (0.0, 1.0)
+        assert game_module._table_certificate(game._engine, rise, fall) == (True, False)
+        report = al.check_vug(game)
+        assert report.path == "certificate" and not report.utility_sum_tight
+        assert settled(report) == settled(direct_scan_vug(game))
+
+    @pytest.mark.parametrize("eps, ok", [(5e-10, True), (3e-10, False)])
+    def test_a_near_additive_table_takes_the_walk(self, eps, ok):
+        # W(S) = |S| + eps·C(|S|, 2): each margin grows by eps per resource
+        # in the context, by at most (m - 1)·eps, within the tolerance, so
+        # the scan passes; but n times that rise is past the tolerance, so
+        # the walk decides. On 4 resources the utility sum exceeds W by 6·eps
+        m = 4 if eps < 4e-10 else 2
+        table = full_table(m, lambda s: len(s) + eps * math.comb(len(s), 2))
+        game = tabulated_game(table, m, [[{r}] for r in range(m)])
+        report = al.check_vug(game)
+        assert report.welfare.ok and report.path == "scan"
+        assert report == direct_scan_vug(game)
+        assert report.ok is ok and report.utility_sum_bounded is ok

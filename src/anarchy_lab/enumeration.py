@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 
 from .game import TOLERANCE, Compromise, GameInstance, SizeCapError, _Engine
 
@@ -81,17 +80,6 @@ def _agent_classes(game: GameInstance) -> list:
     return classes
 
 
-def _orbit_size(positions) -> int:
-    """The number of ways to deal the nondecreasing candidate positions
-    ``positions`` out to as many agents: a multinomial coefficient."""
-    size, dealt = 1, 0
-    for _, run in itertools.groupby(positions):
-        count = len(list(run))
-        dealt += count
-        size *= math.comb(dealt, count)
-    return size
-
-
 def _search(game: GameInstance, classes, cap: int, visit):
     """Visit every pure Nash equilibrium orbit of ``game`` over the agent
     ``classes`` (see :func:`_agent_classes`); returns (nodes, pruned).
@@ -123,14 +111,10 @@ def _search(game: GameInstance, classes, cap: int, visit):
     eng = game._engine
     n = eng.n
     order = [i for members in classes for i in members]
-    tied = [False] * n  # tied[d]: the agent at depth d is in the class of the one above
-    spans = []  # the depths of each class of two or more agents
+    dealt = []  # by depth: the agents its class has dealt down to it
     candidates = []  # by depth
     for members in classes:
-        d = len(candidates)
-        if len(members) > 1:
-            spans.append((d, d + len(members)))
-            tied[d + 1 : d + len(members)] = [True] * (len(members) - 1)
+        dealt += range(1, len(members) + 1)
         i, lab = members[0], game.compromise[members[0]]
         if lab is Compromise.DISABLED:
             cand = [0]  # canonical order puts the empty action first
@@ -153,6 +137,10 @@ def _search(game: GameInstance, classes, cap: int, visit):
     fmask, vmask, vones = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     idxs = [0] * n  # by agent
     pos = [-1] * n  # by depth: the position of its agent's action in its candidates
+    # by depth: how many agents of its class in a row, ending there, take
+    # its agent's action, and the size of the orbit of the profile down to
+    # it (index n, never written, is the empty profile's)
+    run, wt = [1] * n, [1] * (n + 1)
     # undecided[d]: the normal agents above depth d whose test the node
     # above depth d left open
     undecided = [()] * n
@@ -162,7 +150,7 @@ def _search(game: GameInstance, classes, cap: int, visit):
     while d >= 0:
         i, p = order[d], pos[d]
         if p < 0:
-            p = pos[d - 1] if tied[d] else 0
+            p = pos[d - 1] if dealt[d] > 1 else 0
         else:
             if separable:  # take agent i's previous action back
                 for r in act_res[i][idxs[i]]:
@@ -187,9 +175,13 @@ def _search(game: GameInstance, classes, cap: int, visit):
             fmask[d], vmask[d] = fmask[d - 1] | b, seen | v
             vones[d] = vones[d - 1] & ~v | v & ~seen
         nodes += 1
+        # the orbit's size, a multinomial coefficient, grows by dealt / run:
+        # an exact division
+        shared = dealt[d] > 1 and p == pos[d - 1]
+        run[d] = run[d - 1] + 1 if shared else 1
+        wt[d] = wt[d - 1] * dealt[d] // run[d]
         still = normal
         if bounds is not None:
-            shared = tied[d] and p == pos[d - 1]
             still = bounds.open_after(d, undecided[d], idxs, vis, shared)
         if still is not None and d + 1 < n:
             undecided[d + 1] = still
@@ -202,11 +194,8 @@ def _search(game: GameInstance, classes, cap: int, visit):
         if still is None:
             pruned += 1
             continue
-        weight = 1
-        for lo, hi in spans:
-            weight *= _orbit_size(pos[lo:hi])
         if separable:
-            visit(idxs, weight, eng.value(full))
+            visit(idxs, wt[d], eng.value(full))
             continue
         # only a table leaves agents undecided here, and its test reads only
         # the agent's observed base set, the visible agents' without the
@@ -220,7 +209,7 @@ def _search(game: GameInstance, classes, cap: int, visit):
             if not row[idxs[u]]:
                 break
         else:
-            visit(idxs, weight, eng.value(fmask[d]))
+            visit(idxs, wt[d], eng.value(fmask[d]))
     return nodes, pruned
 
 

@@ -24,6 +24,12 @@ an uncached per-step update with ``random.Random(seed)`` would draw:
   which is then looked up in a cache keyed by the agent and that context;
   a sweep's trials at one temperature share the cache, so one softmax is
   built per context a temperature visits;
+- once twice as many steps in a row as there are updatable agents moved
+  nobody and every distribution is current, each agent's stay window, the
+  draws that keep its action, is read off its distribution. Until a draw
+  leaves its agent's window nothing changes, so a step costs its draws and
+  sums; if every window holds [0, 1), where ``random()`` lies, no draw can
+  move anyone again, and the rest of the burn-in or kept steps only sums;
 - the welfare is updated in place when the agent switches: separable
   welfare by the changes of the curves at the old action's resources, then
   the new action's, tabulated welfare by one read of the welfare's own
@@ -283,10 +289,13 @@ def _play(
     ww = None if w is None else w * w
     w_min, w_max = math.inf, -math.inf
     changes = [(0, w)] if keep_trace else None  # (step, welfare from then on)
+    calm = 2 * len(upd)  # steps in a row that moved nobody make a run calm
+    until = calm - 1  # the first step that may find it calm
+    los, his = [None] * eng.n, [None] * eng.n  # by agent: its stay window, in a calm run
     try:
-        for lo, hi in ((0, burn_in), (burn_in, steps)):
+        for it in (iter(range(burn_in)), iter(range(burn_in, steps))):  # calm loops share it
             total = total_sq = 0.0  # the burn-in's sums are dropped
-            for step in range(lo, hi):
+            for step in it:
                 i = pick[getrandbits(bits)]
                 while i is None:
                     i = pick[getrandbits(bits)]
@@ -295,67 +304,99 @@ def _play(
                 if cum is None:
                     cum = cur[i] = distribution(i)
                 j = bisect_right(cum, rand())
-                if j != old:
-                    if step > burn_in:  # kept steps held the old welfare
-                        if w < w_min:
-                            w_min = w
-                        if w > w_max:
-                            w_max = w
-                    res_old = act_res[i][old]
-                    res_new = act_res[i][j]
-                    if separable:
-                        for r in res_old:
-                            c = counts[r] = counts[r] - 1
-                            w += curves[r][c] - curves[r][c + 1]
-                        for r in res_new:
-                            c = counts[r] = counts[r] + 1
-                            w += curves[r][c] - curves[r][c - 1]
-                        if visible[i]:
-                            keep = cur[i]  # i does not observe itself
-                            for r in res_old:
-                                vis[r] -= 1
-                                for a in watch[r]:
-                                    cur[a] = None
-                            for r in res_new:
-                                vis[r] += 1
-                                for a in watch[r]:
-                                    cur[a] = None
-                            cur[i] = keep
+                if j == old:
+                    total += w
+                    total_sq += ww
+                    # a voided distribution waits for its agent's draw: on
+                    # a table with holes, building it may raise
+                    if step < until or any(cur[a] is None for a in upd):
+                        continue
+                    # Calm: until a draw leaves its agent's stay window
+                    # [lo, hi), the r with bisect_right(cum, r) == x for its
+                    # action x, nobody moves and no distribution changes. If
+                    # every window holds [0, 1), where random() lies, no
+                    # draw can move anyone again: the range only sums.
+                    for a in upd:
+                        los[a], his[a] = ([-math.inf] + cur[a] + [math.inf])[idxs[a] : idxs[a] + 2]
+                    if all(los[a] <= 0.0 and his[a] >= 1.0 for a in upd):
+                        for step in it:
+                            total += w
+                            total_sq += ww
+                        break
+                    for step in it:
+                        i = pick[getrandbits(bits)]
+                        while i is None:
+                            i = pick[getrandbits(bits)]
+                        r = rand()
+                        if not los[i] <= r < his[i]:
+                            old, j = idxs[i], bisect_right(cur[i], r)
+                            if j != old:  # a window of NaN sums holds no draw
+                                break
+                        total += w
+                        total_sq += ww
                     else:
-                        # the base set changes where a count crosses zero; a
-                        # visible agent's move changes vmask where its visible
-                        # count crosses zero and vones where it crosses one
-                        v = visible[i]
+                        break
+                if step > burn_in:  # kept steps held the old welfare
+                    if w < w_min:
+                        w_min = w
+                    if w > w_max:
+                        w_max = w
+                res_old = act_res[i][old]
+                res_new = act_res[i][j]
+                if separable:
+                    for r in res_old:
+                        c = counts[r] = counts[r] - 1
+                        w += curves[r][c] - curves[r][c + 1]
+                    for r in res_new:
+                        c = counts[r] = counts[r] + 1
+                        w += curves[r][c] - curves[r][c - 1]
+                    if visible[i]:
+                        keep = cur[i]  # i does not observe itself
                         for r in res_old:
-                            c = counts[r] = counts[r] - 1
-                            if not c:
-                                mask ^= 1 << r
-                            if v:
-                                c = vis[r] = vis[r] - 1
-                                if c < 2:  # 2 -> 1 sets r's vones bit, 1 -> 0 clears both
-                                    vones ^= 1 << r
-                                    if not c:
-                                        vmask ^= 1 << r
-                        for r in res_new:
-                            c = counts[r] = counts[r] + 1
-                            if c == 1:
-                                mask ^= 1 << r
-                            if v:
-                                c = vis[r] = vis[r] + 1
-                                if c < 3:  # 0 -> 1 sets both, 1 -> 2 clears r's vones bit
-                                    vones ^= 1 << r
-                                    if c == 1:
-                                        vmask ^= 1 << r
-                        if v:
-                            keep = cur[i]  # i does not observe itself
-                            for a in observers:
+                            vis[r] -= 1
+                            for a in watch[r]:
                                 cur[a] = None
-                            cur[i] = keep
-                        w = table[mask]
-                    ww = w * w
-                    idxs[i] = j
-                    if changes is not None:
-                        changes.append((step, w))
+                        for r in res_new:
+                            vis[r] += 1
+                            for a in watch[r]:
+                                cur[a] = None
+                        cur[i] = keep
+                else:
+                    # the base set changes where a count crosses zero; a
+                    # visible agent's move changes vmask where its visible
+                    # count crosses zero and vones where it crosses one
+                    v = visible[i]
+                    for r in res_old:
+                        c = counts[r] = counts[r] - 1
+                        if not c:
+                            mask ^= 1 << r
+                        if v:
+                            c = vis[r] = vis[r] - 1
+                            if c < 2:  # 2 -> 1 sets r's vones bit, 1 -> 0 clears both
+                                vones ^= 1 << r
+                                if not c:
+                                    vmask ^= 1 << r
+                    for r in res_new:
+                        c = counts[r] = counts[r] + 1
+                        if c == 1:
+                            mask ^= 1 << r
+                        if v:
+                            c = vis[r] = vis[r] + 1
+                            if c < 3:  # 0 -> 1 sets both, 1 -> 2 clears r's vones bit
+                                vones ^= 1 << r
+                                if c == 1:
+                                    vmask ^= 1 << r
+                    if v:
+                        keep = cur[i]  # i does not observe itself
+                        for a in observers:
+                            cur[a] = None
+                        cur[i] = keep
+                    w = table[mask]
+                ww = w * w
+                idxs[i] = j
+                until = step + calm
+                if changes is not None:
+                    changes.append((step, w))
                 total += w
                 total_sq += ww
     except TypeError:  # None added to the sums: step 0 kept a hole in the table

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -439,6 +440,38 @@ def mixed_games(count):
         yield coverage_game(rng, labels), rng
 
 
+def calm_games():
+    """(game, seed) pairs whose runs go quiet at low temperatures: the
+    simulation game with blind and with isolated agents and as a table, and
+    mixed games with disabled agents and an agent whose only action is the
+    empty one. Two small games add edge cases: a blind agent that ties
+    between two resources, so that its windows end inside [0, 1); and a
+    utility that overflows, so that the normal agent's distribution is all
+    NaN, no window holds its draws, and each still keeps its last action."""
+    yield al.gen_sim_game(10, 9, 0.05, labels=[Compromise.BLIND] * 9), 11
+    yield al.gen_sim_game(10, 9, 0.05, labels=[Compromise.ISOLATED] * 9), 11
+    yield sim_table_twin(), 11
+    for game, rng in mixed_games(3):
+        k = rng.randrange(game.n)
+        sets = game.action_sets[:k] + ((al.EMPTY_ACTION,),) + game.action_sets[k + 1 :]
+        yield dataclasses.replace(game, action_sets=sets), rng.randrange(2**32)
+    tie = al.GameInstance(
+        welfare=al.SeparableWelfare(((0.0, 1.0, 1.0),) * 2),
+        action_sets=((frozenset({0}), frozenset({1})), (frozenset({0}),)),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+        compromise=(Compromise.BLIND,) * 2,
+    )
+    yield tie, 5
+    big = (0.0, 1e308, 1e308)
+    overflow = al.GameInstance(
+        welfare=al.SeparableWelfare((big, big) + tuple((0.0, v, v) for v in (0.3, 0.6, 0.1))),
+        action_sets=((frozenset({0, 1}), frozenset({2, 3})), (frozenset({4}),)),
+        utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+        compromise=(Compromise.NORMAL, Compromise.BLIND),
+    )
+    yield overflow, 3
+
+
 class TestCachedRunner:
     @pytest.mark.parametrize("T", [1e-3, 0.1, 10.0])
     def test_equals_the_uncached_reference(self, T):
@@ -461,6 +494,83 @@ class TestCachedRunner:
             for T in (1e-3, 0.1, 10.0):
                 got = al.lll_run(game, T, 3000, 11, keep_trace=True)
                 assert got == reference_lll_run(game, T, 3000, 11, keep_trace=True)
+
+    @pytest.mark.parametrize("T", [5e-4, 1e-3, 1e-2])
+    def test_equals_the_reference_through_calm_runs(self, T):
+        # Runs go quiet at low temperatures. After twice as many quiet steps
+        # as updatable agents a stretch freezes on the agents' stay windows,
+        # unfreezes at the first draw outside one, or absorbs when every
+        # window holds [0, 1). The isolated simulation game absorbs; on the
+        # blind one and its table twin agent 9 keeps a window that only a
+        # draw of 0.0 leaves. Burn-ins end inside the longest frozen stretch.
+        steps, frozen, unfrozen = 3000, 0, 0
+        for game, seed in calm_games():
+            calm = 2 * sum(c is not Compromise.DISABLED for c in game.compromise)
+            walk = reference_walk(game, seed, softmax_choice(game, T))
+            profiles = [al.empty_profile(game)]
+            profiles += [current for _, current in itertools.islice(walk, steps)]
+            moves = [k for k in range(steps) if profiles[k + 1] != profiles[k]]
+            quiet = [(b - a - 1, a + 1) for a, b in zip([-1] + moves, moves + [steps])]
+            frozen += sum(q > calm for q, _ in quiet)
+            unfrozen += sum(q > calm for q, _ in quiet[:-1])
+            longest, start = max(quiet)
+            burn_ins = [0] + [start + calm + (longest - calm) // 2] * (longest > calm + 1)
+            for burn_in in burn_ins:
+                got = al.lll_run(game, T, steps, seed, burn_in=burn_in, keep_trace=True)
+                want = reference_lll_run(game, T, steps, seed, burn_in=burn_in, keep_trace=True)
+                assert got == want, game
+        assert frozen > 10 and unfrozen > 10
+
+    def test_a_hole_met_after_calm_steps_raises_at_the_reference_step(self):
+        # the blind agent's move voids the normal agent's distribution, whose
+        # new context needs the missing W({0, 1}): the reference raises at
+        # the normal agent's next draw, however many calm steps come first,
+        # and a run that ends before that draw raises nothing
+        table = {frozenset(): 0.0, frozenset({0}): 1.0, frozenset({1}): 0.5}
+        game = al.GameInstance(
+            welfare=al.TabulatedWelfare.from_mapping(table, 2),
+            action_sets=((frozenset({0}), frozenset({1})), (frozenset({0}),)),
+            utilities=(Utility.MARGINAL_CONTRIBUTION,) * 2,
+            compromise=(Compromise.NORMAL, Compromise.BLIND),
+        )
+        late = 0
+        for seed in range(40):
+            walk = reference_walk(game, seed, softmax_choice(game, 1e-3))
+            profiles = [al.empty_profile(game)]
+            with pytest.raises(al.ModelIncompleteError) as want:
+                for _, current in itertools.islice(walk, 1000):
+                    profiles.append(current)
+            done = len(profiles) - 1
+            if done:
+                got = al.lll_run(game, 1e-3, done, seed, keep_trace=True)
+                assert got == reference_lll_run(game, 1e-3, done, seed, keep_trace=True)
+            with pytest.raises(al.ModelIncompleteError) as got:
+                al.lll_run(game, 1e-3, done + 1, seed)
+            assert str(got.value) == str(want.value)
+            moved = max(k for k in range(done) if profiles[k + 1] != profiles[k])
+            late += done - moved > 4  # quiet for twice the agent count before the raise
+        assert late > 1
+
+    def test_an_absorbed_run_stops_drawing(self, monkeypatch):
+        # isolated agents at T = 0.001 settle where every stay window holds
+        # [0, 1), so no draw can move anyone again and none is made
+        draws = []
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+            def random(self):
+                draws.append(None)
+                return super().random()
+
+        game = al.gen_sim_game(10, 9, 0.05, labels=[Compromise.ISOLATED] * 9)
+        want = al.lll_run(game, 0.001, 100_000, 3, burn_in=50_000)
+        monkeypatch.setattr(learning, "random", types.SimpleNamespace(Random=Counting))
+        got = al.lll_run(game, 0.001, 100_000, 3, burn_in=50_000)
+        assert got == want
+        assert 0 < len(draws) < 1000
 
     def test_an_emptied_cache_draws_the_same(self, monkeypatch):
         monkeypatch.setattr(learning, "_CACHE_LIMIT", 2)
